@@ -1,14 +1,14 @@
 // Command diag-server runs the DiAG simulation service: a long-running
 // HTTP/JSON API where clients submit programs plus machine
 // configurations and get back runs, sweeps, fault campaigns, and
-// differential-conformance jobs — with request batching, a
+// differential-conformance jobs — with coalescing of identical jobs, a
 // content-addressed result cache, and Prometheus metrics.
 //
 // Usage:
 //
-//	diag-server [-addr :8080] [-parallel N] [-batch-size N] [-batch-wait D]
-//	            [-cache-entries N] [-queue-depth N] [-timeout D]
-//	            [-drain-timeout D] [-no-observe]
+//	diag-server [-addr :8080] [-parallel N] [-cache-entries N]
+//	            [-queue-depth N] [-timeout D] [-drain-timeout D]
+//	            [-no-observe]
 //
 // The server announces its listen address on stderr ("diag-server:
 // listening on http://HOST:PORT"), which makes -addr :0 usable from
@@ -40,20 +40,16 @@ func main() {
 func run() int {
 	fs := flag.NewFlagSet("diag-server", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address (use :0 for an ephemeral port)")
-	parallel := fs.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-	batchSize := fs.Int("batch-size", 16, "max jobs per batch flush")
-	batchWait := fs.Duration("batch-wait", 2*time.Millisecond, "max wait before a partial batch flushes")
+	parallel := fs.Int("parallel", 0, "worker pool size: max concurrent simulations (0 = GOMAXPROCS)")
 	cacheEntries := fs.Int("cache-entries", 1024, "result cache capacity (negative disables)")
-	queueDepth := fs.Int("queue-depth", 1024, "intake queue capacity (full queue => 503)")
-	timeout := fs.Duration("timeout", 0, "per-simulation wall-clock budget (0 = unbounded)")
+	queueDepth := fs.Int("queue-depth", 1024, "simulations that may wait for a worker (full queue => 503)")
+	timeout := fs.Duration("timeout", 0, "per-simulation wall-clock budget, counted from admission (0 = unbounded)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max wait for in-flight jobs on shutdown")
 	noObserve := fs.Bool("no-observe", false, "skip per-run observability (faster; /metrics loses obsv/* series)")
 	fs.Parse(os.Args[1:])
 
 	srv := server.New(server.Config{
 		Workers:      *parallel,
-		BatchSize:    *batchSize,
-		BatchWait:    *batchWait,
 		QueueDepth:   *queueDepth,
 		CacheEntries: *cacheEntries,
 		JobTimeout:   *timeout,

@@ -40,22 +40,11 @@ func TestPublicAssembleRun(t *testing.T) {
 	}
 }
 
-// TestPublicBaselineComparison keeps exercising the deprecated
-// RunBaseline/RunBaselineContext wrappers: they must stay thin
-// delegates of the OoO target with identical results.
+// TestPublicBaselineComparison runs the quick-start comparison through
+// the public API: the OoO target computes what the DiAG machine does,
+// and a context-bound run reports the same statistics.
 func TestPublicBaselineComparison(t *testing.T) {
 	img, err := diag.Assemble(tinyLoop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, m, err := diag.RunBaseline(diag.Baseline(), img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.LoadWord(0x700) != 50 || b.Cycles <= 0 {
-		t.Error("baseline run wrong")
-	}
-	b2, _, err := diag.RunBaselineContext(context.Background(), diag.Baseline(), img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,8 +52,15 @@ func TestPublicBaselineComparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b != b2 || b != *res.Baseline {
-		t.Error("deprecated wrappers diverge from the OoO target")
+	if res.Mem.LoadWord(0x700) != 50 || res.Baseline == nil || res.Baseline.Cycles <= 0 {
+		t.Error("baseline run wrong")
+	}
+	res2, err := diag.OoO(diag.Baseline()).Run(img, diag.WithContext(context.Background()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *res.Baseline != *res2.Baseline {
+		t.Error("context-bound baseline run diverges")
 	}
 }
 

@@ -554,23 +554,23 @@ func (c *CPU) exec(in *isa.Inst, ex *Exec) {
 		}
 
 	case isa.OpFADDS:
-		c.SetFReg(in.Rd, c.FReg(in.Rs1)+c.FReg(in.Rs2))
+		c.setFArith(in.Rd, c.FReg(in.Rs1)+c.FReg(in.Rs2))
 	case isa.OpFSUBS:
-		c.SetFReg(in.Rd, c.FReg(in.Rs1)-c.FReg(in.Rs2))
+		c.setFArith(in.Rd, c.FReg(in.Rs1)-c.FReg(in.Rs2))
 	case isa.OpFMULS:
-		c.SetFReg(in.Rd, c.FReg(in.Rs1)*c.FReg(in.Rs2))
+		c.setFArith(in.Rd, c.FReg(in.Rs1)*c.FReg(in.Rs2))
 	case isa.OpFDIVS:
-		c.SetFReg(in.Rd, c.FReg(in.Rs1)/c.FReg(in.Rs2))
+		c.setFArith(in.Rd, c.FReg(in.Rs1)/c.FReg(in.Rs2))
 	case isa.OpFSQRTS:
-		c.SetFReg(in.Rd, float32(math.Sqrt(float64(c.FReg(in.Rs1)))))
+		c.setFArith(in.Rd, float32(math.Sqrt(float64(c.FReg(in.Rs1)))))
 	case isa.OpFMADDS:
-		c.SetFReg(in.Rd, fma32(c.FReg(in.Rs1), c.FReg(in.Rs2), c.FReg(in.Rs3)))
+		c.setFArith(in.Rd, fma32(c.FReg(in.Rs1), c.FReg(in.Rs2), c.FReg(in.Rs3)))
 	case isa.OpFMSUBS:
-		c.SetFReg(in.Rd, fma32(c.FReg(in.Rs1), c.FReg(in.Rs2), -c.FReg(in.Rs3)))
+		c.setFArith(in.Rd, fma32(c.FReg(in.Rs1), c.FReg(in.Rs2), -c.FReg(in.Rs3)))
 	case isa.OpFNMSUBS:
-		c.SetFReg(in.Rd, fma32(-c.FReg(in.Rs1), c.FReg(in.Rs2), c.FReg(in.Rs3)))
+		c.setFArith(in.Rd, fma32(-c.FReg(in.Rs1), c.FReg(in.Rs2), c.FReg(in.Rs3)))
 	case isa.OpFNMADDS:
-		c.SetFReg(in.Rd, fma32(-c.FReg(in.Rs1), c.FReg(in.Rs2), -c.FReg(in.Rs3)))
+		c.setFArith(in.Rd, fma32(-c.FReg(in.Rs1), c.FReg(in.Rs2), -c.FReg(in.Rs3)))
 
 	case isa.OpFSGNJS:
 		c.F[in.Rd] = c.F[in.Rs1]&0x7FFFFFFF | c.F[in.Rs2]&0x80000000
@@ -693,6 +693,22 @@ func remS(a, b uint32) uint32 {
 	}
 }
 
+// canonicalNaN is the RISC-V canonical quiet NaN. F arithmetic writes
+// it whenever the result is NaN instead of propagating an input's
+// payload, as Go's float32 arithmetic would.
+const canonicalNaN = 0x7FC00000
+
+// setFArith writes an F arithmetic result (fadd … fnmadd), replacing any
+// NaN with the canonical NaN. Sign injection, moves and loads write
+// registers bit-exactly and do not come through here.
+func (c *CPU) setFArith(rd isa.Reg, v float32) {
+	if v != v {
+		c.F[rd] = canonicalNaN
+		return
+	}
+	c.F[rd] = math.Float32bits(v)
+}
+
 // fma32 computes a*b+c with a single rounding, as the hardware FMA does.
 func fma32(a, b, c float32) float32 {
 	return float32(math.FMA(float64(a), float64(b), float64(c)))
@@ -704,7 +720,7 @@ func fminmax(a, b float32, min bool) float32 {
 	an, bn := a != a, b != b
 	switch {
 	case an && bn:
-		return math.Float32frombits(0x7FC00000)
+		return math.Float32frombits(canonicalNaN)
 	case an:
 		return b
 	case bn:

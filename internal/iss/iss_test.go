@@ -286,6 +286,75 @@ func TestFloatCompareConvertMove(t *testing.T) {
 	}
 }
 
+// TestFArithCanonicalNaN: every F arithmetic op writes the canonical
+// NaN 0x7fc00000 when its result is NaN — whether an input carried a
+// NaN payload or the op made a fresh NaN — while sign injection, moves
+// and loads keep the payload bit-exactly.
+func TestFArithCanonicalNaN(t *testing.T) {
+	const (
+		qnan = 0x7FC01234 // quiet NaN with a payload
+		snan = 0x7F800001 // signaling NaN with a payload
+		one  = 0x3F800000
+		neg  = 0xBF800000 // -1
+		inf  = 0x7F800000
+		zero = 0x00000000
+	)
+	arith := []isa.Op{isa.OpFADDS, isa.OpFSUBS, isa.OpFMULS, isa.OpFDIVS, isa.OpFSQRTS,
+		isa.OpFMADDS, isa.OpFMSUBS, isa.OpFNMSUBS, isa.OpFNMADDS}
+	type regs struct{ a, b, c uint32 }
+	cases := []struct {
+		name string
+		ops  []isa.Op
+		in   regs
+		want uint32
+	}{
+		{"quiet payload", arith, regs{qnan, one, one}, 0x7FC00000},
+		{"signaling payload", arith, regs{snan, one, one}, 0x7FC00000},
+		{"payload in rs2", []isa.Op{isa.OpFADDS, isa.OpFSUBS, isa.OpFMULS, isa.OpFDIVS,
+			isa.OpFMADDS, isa.OpFMSUBS, isa.OpFNMSUBS, isa.OpFNMADDS}, regs{one, qnan, one}, 0x7FC00000},
+		{"payload in rs3", []isa.Op{isa.OpFMADDS, isa.OpFMSUBS, isa.OpFNMSUBS, isa.OpFNMADDS},
+			regs{one, one, qnan}, 0x7FC00000},
+		{"inf - inf", []isa.Op{isa.OpFSUBS}, regs{inf, inf, 0}, 0x7FC00000},
+		{"0 / 0", []isa.Op{isa.OpFDIVS}, regs{zero, zero, 0}, 0x7FC00000},
+		{"sqrt(-1)", []isa.Op{isa.OpFSQRTS}, regs{neg, 0, 0}, 0x7FC00000},
+		{"0 * inf + 1", []isa.Op{isa.OpFMADDS, isa.OpFMSUBS, isa.OpFNMSUBS, isa.OpFNMADDS},
+			regs{zero, inf, one}, 0x7FC00000},
+		{"fsgnj keeps payload", []isa.Op{isa.OpFSGNJS}, regs{qnan, one, 0}, qnan},
+		{"fsgnjn keeps payload", []isa.Op{isa.OpFSGNJNS}, regs{qnan, neg, 0}, qnan},
+		{"fsgnjx keeps payload", []isa.Op{isa.OpFSGNJXS}, regs{snan, one, 0}, snan},
+	}
+	for _, tc := range cases {
+		for _, op := range tc.ops {
+			c := load(t, []isa.Inst{{Op: op, Rd: 4, Rs1: 1, Rs2: 2, Rs3: 3}, {Op: isa.OpEBREAK}})
+			c.F[1], c.F[2], c.F[3] = tc.in.a, tc.in.b, tc.in.c
+			c.Run(10)
+			if c.Err != nil {
+				t.Fatal(c.Err)
+			}
+			if c.F[4] != tc.want {
+				t.Errorf("%s: %v = 0x%08x, want 0x%08x", tc.name, op, c.F[4], tc.want)
+			}
+		}
+	}
+
+	// fmv.w.x and flw move a NaN payload unchanged.
+	c := load(t, []isa.Inst{
+		{Op: isa.OpLUI, Rd: isa.A0, Imm: 0x8000},
+		{Op: isa.OpFLW, Rd: 1, Rs1: isa.A0, Imm: 0},
+		{Op: isa.OpLW, Rd: isa.A1, Rs1: isa.A0, Imm: 0},
+		{Op: isa.OpFMVWX, Rd: 2, Rs1: isa.A1},
+		{Op: isa.OpEBREAK},
+	})
+	c.Mem.StoreWord(0x8000, qnan)
+	c.Run(10)
+	if c.Err != nil {
+		t.Fatal(c.Err)
+	}
+	if c.F[1] != qnan || c.F[2] != qnan {
+		t.Errorf("flw/fmv.w.x changed a NaN payload: 0x%08x 0x%08x, want 0x%08x", c.F[1], c.F[2], uint32(qnan))
+	}
+}
+
 func TestFClass(t *testing.T) {
 	cases := []struct {
 		bits uint32

@@ -55,7 +55,8 @@ func (j *Job) Result() ([]byte, bool) {
 	return j.result, j.state == StateDone
 }
 
-// markBatched stamps the batch-flush time (once).
+// markBatched stamps the time the job left the queue (once): a worker
+// took its flight, or it attached to a flight already running.
 func (j *Job) markBatched(t time.Time) {
 	j.mu.Lock()
 	if j.batched.IsZero() {
@@ -89,8 +90,8 @@ func (j *Job) setProgress(done, total int) {
 }
 
 // complete finishes the job exactly once; later calls are ignored (a
-// job completed from the success path must not be re-completed by the
-// batch error sweep). cached marks a cache or coalesce fill.
+// job completed by a cache hit or a flight must not be re-completed).
+// cached marks a cache or coalesce fill.
 func (j *Job) complete(body []byte, err error, cached bool, now time.Time) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -113,7 +114,10 @@ func (j *Job) complete(body []byte, err error, cached bool, now time.Time) bool 
 // Timings is the per-request latency breakdown every job response
 // carries: the four lifecycle timestamps plus derived stage durations
 // in milliseconds. Served is stamped at render time, so two reads of
-// the same job agree on everything except Served/TotalMs.
+// the same job agree on everything except Served/TotalMs. Batched is
+// when the job left the queue — a worker took its flight, or it joined
+// a flight already running — so QueuedMs is the whole queue wait and
+// BatchMs is ≈0; both keep their names for existing clients.
 type Timings struct {
 	Submitted time.Time  `json:"submitted"`
 	Batched   *time.Time `json:"batched,omitempty"`
@@ -122,7 +126,7 @@ type Timings struct {
 	Served    time.Time  `json:"served"`
 
 	QueuedMs float64 `json:"queued_ms"`     // submitted → batched (or finished, for cache hits)
-	BatchMs  float64 `json:"batch_wait_ms"` // batched → started
+	BatchMs  float64 `json:"batch_wait_ms"` // batched → started (≈0)
 	SimMs    float64 `json:"sim_ms"`        // started → finished
 	TotalMs  float64 `json:"total_ms"`      // submitted → served
 }

@@ -26,14 +26,12 @@ const (
 	mCacheEvictions = "cache_evictions_total"
 	mCoalesced      = "coalesced_total" // jobs served by another job's simulation
 	mSims           = "sims_total"      // simulations actually executed
-	mBatches        = "batches_total"
-	mCacheEntries   = "cache_entries" // gauge
-	mQueueDepth     = "queue_depth"   // gauge: submissions awaiting collection
-	mInflight       = "inflight_sims" // gauge: simulations executing right now
-	hBatchSize      = "batch_size"
-	hQueuedMs       = "job_queued_ms" // submit → batch flush
-	hSimMs          = "job_sim_ms"    // sim start → finish
-	hTotalMs        = "job_total_ms"  // submit → finish
+	mCacheEntries   = "cache_entries"   // gauge
+	mQueueDepth     = "queue_depth"     // gauge: flights awaiting a worker
+	mInflight       = "inflight_sims"   // gauge: simulations executing right now
+	hQueuedMs       = "job_queued_ms"   // submit → leaving the queue
+	hSimMs          = "job_sim_ms"      // sim start → finish
+	hTotalMs        = "job_total_ms"    // submit → finish
 )
 
 // metrics is the server's counter/gauge/histogram store: an

@@ -15,42 +15,33 @@ import (
 )
 
 // Config parameterizes a Server. The zero value is production-shaped:
-// GOMAXPROCS simulation workers, 16-job batches flushed within 2ms,
-// a 1024-entry result cache, and per-run observability on.
+// GOMAXPROCS simulation workers, a 1024-flight queue, a 1024-entry
+// result cache, and per-run observability on.
 type Config struct {
-	// Workers bounds concurrently executing simulations (<= 0:
-	// GOMAXPROCS). Campaign-internal parallelism is bounded separately
-	// by each request's parallel field.
+	// Workers is the size of the worker pool, i.e. the bound on
+	// concurrently executing simulations (<= 0: GOMAXPROCS).
+	// Campaign-internal parallelism is bounded separately by each
+	// request's parallel field.
 	Workers int
-	// BatchSize is the max jobs per batch flush (default 16).
-	BatchSize int
-	// BatchWait is the max time a submission waits for its batch to
-	// fill before a partial flush (default 2ms).
-	BatchWait time.Duration
-	// QueueDepth is the intake queue capacity; a full queue rejects
-	// submissions with 503 (default 1024).
+	// QueueDepth is how many admitted flights may wait for a worker; a
+	// full queue rejects new work with 503 (default 1024). Duplicates
+	// of a queued flight attach to it and take no slot.
 	QueueDepth int
-	// CacheEntries bounds the result cache (default 1024; negative
-	// disables caching).
+	// CacheEntries bounds the result cache (0: 1024; negative disables
+	// caching).
 	CacheEntries int
 	// JobTimeout bounds one simulation's wall clock, including its wait
-	// for a worker slot (0 = unbounded).
+	// for a worker slot: the deadline counts from admission (0 =
+	// unbounded).
 	JobTimeout time.Duration
-	// Observe attaches an obsv.Registry to every timing-machine run and
-	// folds the event counters into /metrics (default on; set
-	// NoObserve to disable).
+	// NoObserve skips the obsv.Registry otherwise attached to every
+	// timing-machine run, whose event counters fold into /metrics.
 	NoObserve bool
 }
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 16
-	}
-	if c.BatchWait == 0 {
-		c.BatchWait = 2 * time.Millisecond
 	}
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 1024
@@ -61,33 +52,34 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// flight is one in-progress simulation and every job waiting on it.
-// Jobs attach when their key matches a flight already in the air
+// flight is one admitted simulation and every job waiting on it. Jobs
+// attach when their key matches a flight that is queued or running
 // (coalescing); all attached jobs complete from the one result.
 type flight struct {
-	spec *Spec
-	jobs []*Job // guarded by the server mutex
+	spec     *Spec
+	deadline time.Time // admission + JobTimeout; zero when unbounded
+	jobs     []*Job    // guarded by the server mutex
+	running  bool      // a worker has taken it; guarded by the server mutex
 }
 
-// Server is the simulation service: an HTTP handler plus the batcher,
-// cache, worker pool, and job store behind it.
+// Server is the simulation service: an HTTP handler plus the cache,
+// flight queue, worker pool, and job store behind it.
 type Server struct {
-	cfg Config
-	m   *metrics
-	b   *batcher
-	sem chan struct{} // worker slots for simulations
+	cfg   Config
+	m     *metrics
+	queue chan *flight // admitted flights awaiting a worker; capacity QueueDepth bounds the backlog
 
 	ctx    context.Context // cancelled only by a hard drain-timeout stop
 	cancel context.CancelFunc
-	wg     sync.WaitGroup // in-flight batch executions
+	wg     sync.WaitGroup // running workers
 
 	mu       sync.Mutex
-	draining bool
+	draining bool // set, and queue closed, by Drain
 	nextID   int
 	jobs     map[string]*Job
 	order    []string // job IDs in submission order
 	cache    *resultCache
-	inflight map[cacheKey]*flight
+	inflight map[cacheKey]*flight // queued and running flights
 }
 
 // New builds a Server; call Start before serving, and Drain on the way
@@ -95,42 +87,49 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
-	s := &Server{
+	return &Server{
 		cfg:      cfg,
 		m:        newMetrics(),
-		sem:      make(chan struct{}, cfg.Workers),
+		queue:    make(chan *flight, cfg.QueueDepth),
 		ctx:      ctx,
 		cancel:   cancel,
 		jobs:     make(map[string]*Job),
 		cache:    newResultCache(cfg.CacheEntries),
 		inflight: make(map[cacheKey]*flight),
 	}
-	s.b = newBatcher(cfg.QueueDepth, cfg.BatchSize, cfg.BatchWait, s.runBatch)
-	return s
 }
 
-// Start launches the batch collector. Separate from New so tests can
-// assemble a server without goroutines.
-func (s *Server) Start() { go s.b.run() }
+// Start launches the worker pool. Separate from New so tests can
+// assemble a server without goroutines and fill its queue first.
+func (s *Server) Start() {
+	s.wg.Add(s.cfg.Workers)
+	for i := 0; i < s.cfg.Workers; i++ {
+		go func() {
+			defer s.wg.Done()
+			for f := range s.queue {
+				s.runFlight(f)
+			}
+		}()
+	}
+}
 
 // Metrics exposes the server's metric store (tests and the /metrics
 // handler).
 func (s *Server) Metrics() *metrics { return s.m }
 
 // Drain performs the graceful shutdown sequence: stop accepting
-// submissions (503), flush the batcher, and wait for every in-flight
-// simulation to finish. If ctx expires first, in-flight work is
-// cancelled hard and Drain returns ctx's error once the workers have
-// unwound.
+// submissions (503), then wait for the workers to finish every queued
+// and running flight. If ctx expires first, in-flight work is cancelled
+// hard and Drain returns ctx's error once the workers have unwound.
 func (s *Server) Drain(ctx context.Context) error {
+	// Admission sends on the queue under s.mu after checking draining,
+	// so closing it under the same lock can never race a send.
 	s.mu.Lock()
-	already := s.draining
-	s.draining = true
-	s.mu.Unlock()
-	if !already {
-		s.b.close()
+	if !s.draining {
+		s.draining = true
+		close(s.queue)
 	}
-	<-s.b.done // collector exited; every queued submission was flushed
+	s.mu.Unlock()
 
 	finished := make(chan struct{})
 	go func() {
@@ -207,22 +206,13 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-// handleSubmit is POST /api/v1/jobs: validate, register, serve from
-// cache if possible, otherwise enqueue for batching. ?wait=DURATION
-// blocks until the job is terminal (or the wait expires) before
-// responding, so simple clients get submit-and-result in one round
-// trip.
+// handleSubmit is POST /api/v1/jobs: validate, then — in one critical
+// section, the server's only dedup point — serve from the cache,
+// coalesce onto a queued or running flight with the same key, or admit
+// a new flight to the worker queue. ?wait=DURATION blocks until the
+// job is terminal (or the wait expires) before responding, so simple
+// clients get submit-and-result in one round trip.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
-		s.m.inc(mRejected, 1)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "server is draining; not accepting new jobs")
-		return
-	}
-
 	sp, err := ParseRequest(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
 		var he *httpError
@@ -235,7 +225,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	now := time.Now()
+	k := sp.Key()
 	s.mu.Lock()
+	if s.draining {
+		s.mu.Unlock()
+		s.reject(w, "server is draining; not accepting new jobs")
+		return
+	}
 	s.nextID++
 	id := fmt.Sprintf("j%06d", s.nextID)
 	j := newJob(id, sp, now)
@@ -243,7 +239,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.order = append(s.order, id)
 
 	// Cache first: a hit completes the job with zero simulation work.
-	if body, ok := s.cache.Get(sp.Key()); ok {
+	if body, ok := s.cache.Get(k); ok {
 		s.mu.Unlock()
 		s.m.inc(mCacheHits, 1)
 		s.m.inc(mSubmitted, 1)
@@ -252,19 +248,49 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.respondSubmit(w, r, j, http.StatusOK)
 		return
 	}
+	admitted, coalesced := true, false
+	if f, ok := s.inflight[k]; ok {
+		// Identical work is queued or running: ride it. A job joining a
+		// running flight leaves the queue the moment it arrives.
+		f.jobs = append(f.jobs, j)
+		j.markCoalesced()
+		if f.running {
+			j.markBatched(now)
+		}
+		coalesced = true
+	} else {
+		f := &flight{spec: sp, jobs: []*Job{j}}
+		if s.cfg.JobTimeout > 0 {
+			f.deadline = now.Add(s.cfg.JobTimeout)
+		}
+		select {
+		case s.queue <- f:
+			s.inflight[k] = f
+		default:
+			admitted = false
+		}
+	}
 	s.mu.Unlock()
 	s.m.inc(mCacheMisses, 1)
 
-	if !s.b.submit(&submission{job: j, spec: sp}) {
-		s.m.inc(mRejected, 1)
+	if !admitted {
 		j.complete(nil, fmt.Errorf("server overloaded"), false, time.Now())
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "intake queue full; retry later")
+		s.reject(w, "intake queue full; retry later")
 		return
 	}
+	if coalesced {
+		s.m.inc(mCoalesced, 1)
+	}
 	s.m.inc(mSubmitted, 1)
-	s.m.gauge(mQueueDepth, int64(s.b.depth()))
+	s.m.gauge(mQueueDepth, int64(len(s.queue)))
 	s.respondSubmit(w, r, j, http.StatusAccepted)
+}
+
+// reject answers 503 with a retry hint.
+func (s *Server) reject(w http.ResponseWriter, msg string) {
+	s.m.inc(mRejected, 1)
+	w.Header().Set("Retry-After", "1")
+	writeError(w, http.StatusServiceUnavailable, "%s", msg)
 }
 
 // respondSubmit renders the submit response, honoring ?wait.
@@ -300,125 +326,65 @@ func (s *Server) awaitJob(r *http.Request, j *Job, d time.Duration) bool {
 	return false
 }
 
-// runBatch is the batcher's flush hook: classify every submission in
-// the batch — late cache hit, coalesce onto an in-flight simulation,
-// coalesce onto a duplicate earlier in this same batch, or genuinely
-// new work — and hand the new flights to the worker pool.
-func (s *Server) runBatch(batch []*submission) {
+// runFlight executes one flight a worker took off the queue: stamp its
+// jobs as out of the queue, run the simulation as a one-job exp.Run
+// (timeout classification, panic isolation), and publish the outcome.
+func (s *Server) runFlight(f *flight) {
 	now := time.Now()
-	s.m.inc(mBatches, 1)
-	s.m.observe(hBatchSize, int64(len(batch)))
-	s.m.gauge(mQueueDepth, int64(s.b.depth()))
-
-	type cachedFill struct {
-		j    *Job
-		body []byte
-	}
-	var fills []cachedFill
-	var fresh []*flight
-
 	s.mu.Lock()
-	for _, sub := range batch {
-		sub.job.markBatched(now)
-		k := sub.spec.Key()
-		// The result may have landed since this submission was queued.
-		if body, ok := s.cache.Get(k); ok {
-			s.m.inc(mCacheHits, 1)
-			fills = append(fills, cachedFill{j: sub.job, body: body})
-			continue
-		}
-		if f, ok := s.inflight[k]; ok {
-			// Identical work is already in the air (earlier batch or
-			// earlier in this one): ride it.
-			f.jobs = append(f.jobs, sub.job)
-			sub.job.markCoalesced()
-			s.m.inc(mCoalesced, 1)
-			continue
-		}
-		f := &flight{spec: sub.spec, jobs: []*Job{sub.job}}
-		s.inflight[k] = f
-		fresh = append(fresh, f)
+	f.running = true
+	for _, j := range f.jobs {
+		j.markBatched(now)
 	}
 	s.mu.Unlock()
+	s.m.gauge(mQueueDepth, int64(len(s.queue)))
 
-	for _, fill := range fills {
-		if fill.j.complete(fill.body, nil, true, time.Now()) {
-			s.m.inc(mJobsDone, 1)
+	var timeout time.Duration
+	if !f.deadline.IsZero() {
+		// The deadline counts from admission, so a flight that outwaited
+		// it in the queue times out at once.
+		timeout = max(time.Until(f.deadline), time.Nanosecond)
+	}
+	run := func(ctx context.Context) (any, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, diagerr.FromContext(err)
 		}
-	}
-	if len(fresh) == 0 {
-		return
-	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		s.execFlights(fresh)
-	}()
-}
-
-// execFlights runs a batch's fresh flights across the experiment
-// engine: bounded workers via the server-wide semaphore, per-job
-// wall-clock timeouts, panic isolation. Each flight completes its
-// attached jobs the moment its own simulation finishes — no barrier on
-// the rest of the batch.
-func (s *Server) execFlights(fresh []*flight) {
-	jobs := make([]exp.Job, len(fresh))
-	for i, f := range fresh {
-		f := f
-		jobs[i] = exp.Job{
-			Name: f.spec.Name(),
-			Run: func(ctx context.Context) (any, error) {
-				select {
-				case s.sem <- struct{}{}:
-				case <-ctx.Done():
-					return nil, diagerr.FromContext(ctx.Err())
-				}
-				defer func() { <-s.sem }()
-
-				start := time.Now()
-				s.m.inc(mSims, 1)
-				s.m.addGauge(mInflight, 1)
-				defer s.m.addGauge(mInflight, -1)
-				for _, j := range f.jobs {
-					j.markStarted(start)
-				}
-
-				onProgress := func(done, total int) {
-					s.mu.Lock()
-					js := append([]*Job(nil), f.jobs...)
-					s.mu.Unlock()
-					for _, j := range js {
-						j.setProgress(done, total)
-					}
-				}
-				workers := f.spec.Req.Parallel
-				if workers <= 0 || workers > s.cfg.Workers {
-					workers = s.cfg.Workers
-				}
-				body, regs, err := f.spec.execute(ctx, workers, onProgress, !s.cfg.NoObserve)
-				for _, reg := range regs {
-					s.m.mergeObsv(reg)
-				}
-				if err != nil {
-					return nil, err
-				}
-				s.m.observe(hSimMs, int64(time.Since(start)/time.Millisecond))
-				s.finishFlight(f, body, nil)
-				return body, nil
-			},
+		s.mu.Lock()
+		start := time.Now()
+		for _, j := range f.jobs {
+			j.markStarted(start)
 		}
-	}
-	results, _ := exp.Run(s.ctx, jobs, exp.Options{
-		Workers: s.cfg.Workers,
-		Timeout: s.cfg.JobTimeout,
-	})
-	// Success paths finished inside Run; everything left is a failure
-	// (timeout, panic, cancellation) to propagate to attached jobs.
-	for i, r := range results {
-		if r.Err != nil {
-			s.finishFlight(fresh[i], nil, r.Err)
+		s.mu.Unlock()
+		s.m.inc(mSims, 1)
+		s.m.addGauge(mInflight, 1)
+		defer s.m.addGauge(mInflight, -1)
+
+		onProgress := func(done, total int) {
+			s.mu.Lock()
+			js := append([]*Job(nil), f.jobs...)
+			s.mu.Unlock()
+			for _, j := range js {
+				j.setProgress(done, total)
+			}
 		}
+		workers := f.spec.Req.Parallel
+		if workers <= 0 || workers > s.cfg.Workers {
+			workers = s.cfg.Workers
+		}
+		body, regs, err := f.spec.execute(ctx, workers, onProgress, !s.cfg.NoObserve)
+		for _, reg := range regs {
+			s.m.mergeObsv(reg)
+		}
+		if err != nil {
+			return nil, err
+		}
+		s.m.observe(hSimMs, int64(time.Since(start)/time.Millisecond))
+		return body, nil
 	}
+	results, _ := exp.Run(s.ctx, []exp.Job{{Name: f.spec.Name(), Run: run}},
+		exp.Options{Workers: 1, Timeout: timeout})
+	body, _ := results[0].Value.([]byte)
+	s.finishFlight(f, body, results[0].Err)
 }
 
 // finishFlight publishes a flight's outcome: fill the cache, retire the

@@ -27,8 +27,16 @@ const testProg = `
 // both torn down with the test.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	srv := New(cfg)
+	srv, ts := newIdleServer(t, cfg)
 	srv.Start()
+	return srv, ts
+}
+
+// newIdleServer is newTestServer without Start: admitted flights stay
+// queued until the test starts the worker pool.
+func newIdleServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
+	srv := New(cfg)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -75,8 +83,27 @@ func fetch(t *testing.T, ts *httptest.Server, path string) (int, []byte) {
 	return resp.StatusCode, raw
 }
 
+// awaitView long-polls a job until it is terminal.
+func awaitView(t *testing.T, ts *httptest.Server, id string) View {
+	t.Helper()
+	code, raw := fetch(t, ts, "/api/v1/jobs/"+id+"?wait=30s")
+	if code != http.StatusOK {
+		t.Fatalf("job %s: got %d (%s)", id, code, raw)
+	}
+	var v View
+	if err := json.Unmarshal(raw, &v); err != nil {
+		t.Fatalf("job %s view %q: %v", id, raw, err)
+	}
+	return v
+}
+
 func runBody(extra string) string {
-	b, _ := json.Marshal(testProg)
+	return progBody(testProg, extra)
+}
+
+// progBody is a run request for src on the ISS.
+func progBody(src, extra string) string {
+	b, _ := json.Marshal(src)
 	return fmt.Sprintf(`{"kind":"run","machine":"iss","asm":%s%s}`, b, extra)
 }
 
@@ -189,31 +216,39 @@ func TestCacheHitShortCircuit(t *testing.T) {
 	}
 }
 
+// TestCoalescing admits four identical submissions while no worker
+// runs, so every duplicate finds the first one's flight still queued
+// and must attach to it rather than start its own simulation.
 func TestCoalescing(t *testing.T) {
-	// A long batch wait holds the batch open so every duplicate lands in
-	// it before the single flight launches.
-	srv, ts := newTestServer(t, Config{BatchWait: 300 * time.Millisecond, BatchSize: 64})
+	srv, ts := newIdleServer(t, Config{})
 
 	const n = 4
-	var wg sync.WaitGroup
-	codes := make([]int, n)
-	views := make([]View, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			codes[i], views[i] = submit(t, ts, runBody(""), true)
-		}(i)
+	ids := make([]string, n)
+	for i := range ids {
+		code, v := submit(t, ts, runBody(""), false)
+		if code != http.StatusAccepted {
+			t.Fatalf("submission %d: got %d, want 202", i, code)
+		}
+		ids[i] = v.ID
 	}
-	wg.Wait()
+	srv.Start()
 
 	coalesced := 0
-	for i := 0; i < n; i++ {
-		if codes[i] != http.StatusOK || views[i].State != StateDone {
-			t.Fatalf("submission %d: %d %+v", i, codes[i], views[i])
+	var first []byte
+	for i, id := range ids {
+		v := awaitView(t, ts, id)
+		if v.State != StateDone {
+			t.Fatalf("submission %d: %+v", i, v)
 		}
-		if views[i].Coalesced {
+		if v.Coalesced {
 			coalesced++
+		}
+		// All four read the same bytes.
+		_, body := fetch(t, ts, v.ResultURL)
+		if i == 0 {
+			first = body
+		} else if !bytes.Equal(first, body) {
+			t.Fatalf("coalesced result %d differs from first", i)
 		}
 	}
 	if sims := srv.Metrics().counter(mSims); sims != 1 {
@@ -225,16 +260,49 @@ func TestCoalescing(t *testing.T) {
 	if got := srv.Metrics().counter(mCoalesced); got != uint64(n-1) {
 		t.Fatalf("coalesced_total = %d, want %d", got, n-1)
 	}
+}
 
-	// All four read the same bytes.
-	var first []byte
-	for i := 0; i < n; i++ {
-		_, body := fetch(t, ts, "/api/v1/jobs/"+views[i].ID+"/result")
-		if i == 0 {
-			first = body
-		} else if !bytes.Equal(first, body) {
-			t.Fatalf("coalesced result %d differs from first", i)
+// TestConcurrentSubmit races many submissions of a few keys against
+// running workers. Every job must complete, and each key must simulate
+// exactly once: a duplicate either attaches to the flight before it
+// finishes or finds its result in the cache, never neither.
+func TestConcurrentSubmit(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 2})
+	const keys, perKey = 4, 8
+	var wg sync.WaitGroup
+	views := make([]View, keys*perKey)
+	for i := range views {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			code, v := submit(t, ts, runBody(fmt.Sprintf(`,"seed":%d`, i%keys+1)), true)
+			if code != http.StatusOK || v.State != StateDone {
+				t.Errorf("submission %d: %d %+v", i, code, v)
+			}
+			views[i] = v
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	m := srv.Metrics()
+	if sims := m.counter(mSims); sims != keys {
+		t.Fatalf("sims = %d, want %d (one per distinct key)", sims, keys)
+	}
+	if got := m.counter(mCacheHits) + m.counter(mCoalesced) + m.counter(mSims); got != uint64(len(views)) {
+		t.Fatalf("hits + coalesced + sims = %d, want %d", got, len(views))
+	}
+	bodies := map[string][]byte{}
+	for _, v := range views {
+		_, body := fetch(t, ts, v.ResultURL)
+		if prev, ok := bodies[v.Key]; ok && !bytes.Equal(prev, body) {
+			t.Fatalf("key %s: result bodies differ", v.Key)
 		}
+		bodies[v.Key] = body
+	}
+	if len(bodies) != keys {
+		t.Fatalf("%d distinct keys, want %d", len(bodies), keys)
 	}
 }
 
@@ -357,12 +425,10 @@ func TestJobNotFound(t *testing.T) {
 	}
 }
 
-// TestResultPending covers the 202 path: a server whose collector never
-// starts leaves jobs queued forever.
+// TestResultPending covers the 202 path: a server whose worker pool
+// never starts leaves jobs queued forever.
 func TestResultPending(t *testing.T) {
-	srv := New(Config{}) // note: no Start — the batcher never collects
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	_, ts := newIdleServer(t, Config{})
 
 	code, v := submit(t, ts, runBody(""), false)
 	if code != http.StatusAccepted {
@@ -407,7 +473,7 @@ func TestGracefulDrain(t *testing.T) {
 }
 
 func TestDrainCompletesInflight(t *testing.T) {
-	srv, ts := newTestServer(t, Config{BatchWait: time.Millisecond})
+	srv, ts := newTestServer(t, Config{})
 
 	// Submit without waiting, then immediately drain: the job must still
 	// complete (drain finishes in-flight work rather than dropping it).
@@ -456,8 +522,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"diag_server_jobs_done_total",
 		"diag_server_cache_misses_total",
 		"diag_server_sims_total 1",
-		"diag_server_batches_total",
-		"diag_server_batch_size_count",
+		"diag_server_queue_depth",
+		"diag_server_job_queued_ms_count",
 		"diag_server_job_total_ms_count",
 		"diag_server_uptime_seconds",
 	} {
@@ -510,22 +576,121 @@ func TestStream(t *testing.T) {
 	}
 }
 
-// TestQueueFull covers the 503 intake-overload path: a stopped
-// collector with a tiny queue fills immediately.
+// TestQueueFull covers the 503 intake-overload path: with no worker
+// running, a one-slot queue fills at the first submission. A duplicate
+// of the queued job still gets in, because it attaches to the queued
+// flight instead of taking a slot.
 func TestQueueFull(t *testing.T) {
-	srv := New(Config{QueueDepth: 1}) // no Start: nothing drains the queue
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	srv, ts := newIdleServer(t, Config{QueueDepth: 1})
 
 	if code, _ := submit(t, ts, runBody(""), false); code != http.StatusAccepted {
 		t.Fatalf("first submit: %d", code)
 	}
-	code, _ := submit(t, ts, runBody(`,"seed":2`), false)
+	code, v := submit(t, ts, runBody(""), false)
+	if code != http.StatusAccepted || !v.Coalesced {
+		t.Fatalf("duplicate submit: got %d coalesced=%v, want 202 coalesced", code, v.Coalesced)
+	}
+	code, _ = submit(t, ts, runBody(`,"seed":2`), false)
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("overflow submit: got %d, want 503", code)
 	}
 	if got := srv.Metrics().counter(mRejected); got != 1 {
 		t.Fatalf("rejected = %d, want 1", got)
+	}
+}
+
+// TestFlightQueueFull: the flight queue admits distinct flights up to
+// QueueDepth and refuses the next, and the queue-depth gauge reports
+// the backlog. No worker runs, so the queue can only fill.
+func TestFlightQueueFull(t *testing.T) {
+	srv, ts := newIdleServer(t, Config{QueueDepth: 2})
+
+	for seed := 1; seed <= 2; seed++ {
+		if code, _ := submit(t, ts, runBody(fmt.Sprintf(`,"seed":%d`, seed)), false); code != http.StatusAccepted {
+			t.Fatalf("submit below capacity (seed %d): got %d, want 202", seed, code)
+		}
+	}
+	if code, _ := submit(t, ts, runBody(`,"seed":3`), false); code != http.StatusServiceUnavailable {
+		t.Fatalf("submit beyond capacity: got %d, want 503", code)
+	}
+	if n := len(srv.queue); n != 2 {
+		t.Fatalf("queued flights = %d, want 2", n)
+	}
+	srv.m.mu.Lock()
+	depth := srv.m.reg.Gauge(mQueueDepth)
+	srv.m.mu.Unlock()
+	if depth != 2 {
+		t.Fatalf("queue_depth gauge = %d, want 2", depth)
+	}
+}
+
+// slowProg counts down a few million iterations: long enough on the
+// ISS that a second job is still queued when Drain begins.
+const slowProg = `
+	li x5, 3000000
+loop:
+	addi x5, x5, -1
+	bnez x5, loop
+	ebreak
+`
+
+// TestDrainRunsQueuedFlights: flights admitted but not yet taken by a
+// worker still run to completion on Drain; closing the queue must not
+// drop them.
+func TestDrainRunsQueuedFlights(t *testing.T) {
+	srv, ts := newIdleServer(t, Config{Workers: 1})
+	var ids []string
+	for _, body := range []string{progBody(slowProg, ""), runBody("")} {
+		code, v := submit(t, ts, body, false)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit: got %d, want 202", code)
+		}
+		ids = append(ids, v.ID)
+	}
+	srv.Start()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := srv.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	for _, id := range ids {
+		_, raw := fetch(t, ts, "/api/v1/jobs/"+id)
+		var v View
+		if err := json.Unmarshal(raw, &v); err != nil {
+			t.Fatal(err)
+		}
+		if v.State != StateDone {
+			t.Fatalf("job %s after drain: state %q, want done", id, v.State)
+		}
+	}
+	if sims := srv.Metrics().counter(mSims); sims != 2 {
+		t.Fatalf("sims = %d, want 2", sims)
+	}
+}
+
+// TestJobTimeout: a program that never halts fails with a timeout, its
+// flight leaves the in-flight table, and a resubmission simulates
+// afresh instead of attaching to the dead flight or hitting the cache.
+func TestJobTimeout(t *testing.T) {
+	srv, ts := newTestServer(t, Config{JobTimeout: 50 * time.Millisecond})
+	const spin = "loop:\n\tj loop\n"
+	for i := 1; i <= 2; i++ {
+		code, v := submit(t, ts, progBody(spin, ""), true)
+		if code != http.StatusAccepted && code != http.StatusOK {
+			t.Fatalf("submit %d: got %d", i, code)
+		}
+		if v.State != StateFailed || !strings.Contains(v.Error, "timed out") {
+			t.Fatalf("submit %d: state %q error %q, want a timeout failure", i, v.State, v.Error)
+		}
+		srv.mu.Lock()
+		left := len(srv.inflight)
+		srv.mu.Unlock()
+		if left != 0 {
+			t.Fatalf("submit %d: %d flights left in flight after the timeout", i, left)
+		}
+		if sims := srv.Metrics().counter(mSims); sims != uint64(i) {
+			t.Fatalf("submit %d: sims = %d, want %d", i, sims, i)
+		}
 	}
 }
 

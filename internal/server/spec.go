@@ -7,27 +7,28 @@
 // Three load-bearing pieces turn the library into a service that can
 // absorb heavy repeat traffic:
 //
-//   - a request batcher (batcher.go): submissions are coalesced into
-//     batches by a channel-based collector with a max-batch-size and a
-//     max-wait flush, and identical-key jobs in one batch — or already
-//     in flight — share a single simulation;
+//   - admission with coalescing (server.go): one critical section per
+//     submission serves it from the cache, attaches it to a queued or
+//     running flight with the same key, or admits a new flight to a
+//     bounded queue that a fixed pool of workers drains, so identical
+//     jobs share a single simulation;
 //   - a content-addressed result cache (cache.go): results are keyed by
 //     the FNV digest of the assembled program image plus a canonicalized
 //     encoding of the request's semantic fields (the internal/journal
 //     manifest-identity idiom), so repeat traffic is served without
 //     simulating at all;
 //   - an observability surface (metrics.go): every server-level counter
-//     (requests, cache hits, coalesces, batch sizes, queue depth) plus
-//     merged per-run internal/obsv registries export as a
-//     Prometheus-text /metrics endpoint, and every job response carries
-//     its own latency breakdown (submitted → batched → started →
+//     (requests, cache hits, coalesces, queue depth) plus merged
+//     per-run internal/obsv registries export as a Prometheus-text
+//     /metrics endpoint, and every job response carries its own latency
+//     breakdown (submitted → batched, i.e. out of the queue → started →
 //     finished → served).
 //
-// Execution rides internal/exp — bounded workers, per-job wall-clock
-// timeouts, panic isolation — and every result is a pure function of
-// the request's semantic fields: the same submission returns the
-// byte-identical result body at any worker count, which is what makes
-// the cache sound.
+// Each flight runs through internal/exp as a one-job run — per-job
+// wall-clock timeouts, panic isolation — and every result is a pure
+// function of the request's semantic fields: the same submission
+// returns the byte-identical result body at any worker count, which is
+// what makes the cache sound.
 package server
 
 import (
@@ -113,7 +114,7 @@ var diagMachines = []string{"I4C2", "F4C2", "F4C16", "F4C32"}
 
 // Spec is a validated, normalized request: defaults applied, names
 // canonicalized, the program assembled, and the cache-key digests
-// computed. Everything downstream (batching, caching, execution) works
+// computed. Everything downstream (admission, caching, execution) works
 // from the Spec, never from the raw Request.
 type Spec struct {
 	Req   Request    // normalized copy

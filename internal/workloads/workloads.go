@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"diag/internal/asm"
 	"diag/internal/mem"
@@ -181,7 +182,33 @@ func assemble(name, src string, segs ...mem.Segment) (*mem.Image, error) {
 		return nil, fmt.Errorf("workload %s: %w", name, err)
 	}
 	img.Segments = append(img.Segments, segs...)
+	if err := checkOverlap(name, img.Segments); err != nil {
+		return nil, err
+	}
 	return img, nil
+}
+
+// checkOverlap rejects an image whose data segments overlap: loading it
+// would silently let the later segment clobber the earlier one, which
+// is how an input that outgrows its region shows up.
+func checkOverlap(name string, segs []mem.Segment) error {
+	byAddr := append([]mem.Segment(nil), segs...)
+	sort.Slice(byAddr, func(i, j int) bool { return byAddr[i].Addr < byAddr[j].Addr })
+	var prev mem.Segment // the segment reaching furthest so far
+	end := func(s mem.Segment) uint64 { return uint64(s.Addr) + uint64(len(s.Data)) }
+	for _, s := range byAddr {
+		if len(s.Data) == 0 {
+			continue
+		}
+		if end(prev) > uint64(s.Addr) {
+			return fmt.Errorf("workload %s: input segments overlap: [%#x, %#x) and [%#x, %#x)",
+				name, prev.Addr, end(prev), s.Addr, end(s))
+		}
+		if end(s) > end(prev) {
+			prev = s
+		}
+	}
+	return nil
 }
 
 // partition emits the standard outer-loop partitioning prologue: with the

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"diag/internal/diag"
@@ -331,4 +332,52 @@ func ExampleByName() {
 	w, ok := ByName("hotspot")
 	fmt.Println(ok, w.Suite, w.Class)
 	// Output: true rodinia compute
+}
+
+// TestOverlappingSegmentsRejected pins the build-time overlap check at
+// the two known layout limits: btree's key array runs into the second
+// input region from scale 33, perlbench's strings into its offset table
+// from scale 42. One scale below each limit still builds.
+func TestOverlappingSegmentsRejected(t *testing.T) {
+	cases := []struct {
+		name    string
+		scale   int
+		wantErr bool
+	}{
+		{"btree", 32, false},
+		{"btree", 33, true},
+		{"perlbench", 41, false},
+		{"perlbench", 42, true},
+	}
+	for _, tc := range cases {
+		w, _ := ByName(tc.name)
+		_, err := w.Build(Params{Scale: tc.scale, Threads: 1})
+		if (err != nil) != tc.wantErr {
+			t.Errorf("%s@%d: err = %v, want error %v", tc.name, tc.scale, err, tc.wantErr)
+			continue
+		}
+		if err != nil && (!strings.Contains(err.Error(), tc.name) || strings.Count(err.Error(), "0x") != 4) {
+			t.Errorf("%s@%d: error %q should name the workload and both ranges", tc.name, tc.scale, err)
+		}
+	}
+}
+
+func TestCheckOverlap(t *testing.T) {
+	seg := func(addr uint32, n int) mem.Segment { return mem.Segment{Addr: addr, Data: make([]byte, n)} }
+	cases := []struct {
+		name    string
+		segs    []mem.Segment
+		wantErr bool
+	}{
+		{"adjacent", []mem.Segment{seg(0x100, 0x10), seg(0x110, 4)}, false},
+		{"unsorted disjoint", []mem.Segment{seg(0x200, 4), seg(0x100, 4)}, false},
+		{"one byte over", []mem.Segment{seg(0x100, 0x11), seg(0x110, 4)}, true},
+		{"empty segment inside", []mem.Segment{seg(0x100, 0x10), seg(0x108, 0)}, false},
+		{"contained past an empty one", []mem.Segment{seg(0x100, 0x100), seg(0x108, 0), seg(0x180, 4)}, true},
+	}
+	for _, tc := range cases {
+		if err := checkOverlap("t", tc.segs); (err != nil) != tc.wantErr {
+			t.Errorf("%s: err = %v, want error %v", tc.name, err, tc.wantErr)
+		}
+	}
 }

@@ -78,7 +78,7 @@ metric() {
     grep "^$1 " "$WORK/metrics.txt" | awk '{print $2}'
 }
 for m in diag_server_requests_total diag_server_jobs_submitted_total \
-         diag_server_jobs_done_total diag_server_batches_total \
+         diag_server_jobs_done_total diag_server_queue_depth \
          diag_server_uptime_seconds diag_server_job_total_ms_count; do
     grep -q "^$m " "$WORK/metrics.txt" || { echo "FAIL: /metrics missing $m"; exit 1; }
 done
