@@ -16,9 +16,9 @@ test:
 	$(GO) test ./...
 
 # Race-detector run: the parallel experiment engine fans simulations
-# across goroutines and the sharded machine engines (internal/diag,
-# internal/ooo TestSharded*) fan rings/cores within one simulation, so
-# the full suite must be race-clean.
+# across goroutines and the shared multi-hart engine (internal/harts,
+# under both the DiAG and OoO machines) fans rings/cores within one
+# simulation, so the full suite must be race-clean.
 race:
 	$(GO) test -race ./...
 

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -18,13 +19,11 @@ import (
 	"os/signal"
 	"strings"
 
+	"diag"
 	"diag/internal/asm"
 	"diag/internal/cliutil"
-	"diag/internal/diag"
 	"diag/internal/mem"
-	"diag/internal/ooo"
 	"diag/internal/power"
-	"diag/internal/trace"
 	"diag/internal/workloads"
 )
 
@@ -56,55 +55,63 @@ func main() {
 		fatal(err)
 	}
 
+	var target diag.Target
+	var cfg diag.Config
+	baseline := diag.Baseline()
 	if strings.EqualFold(*machine, "ooo") {
-		runBaseline(ctx, img, check, *cores, *core.Shards, *maxCycles, *showEnergy)
-		return
+		if *cores > 1 {
+			baseline = diag.BaselineMulticore(*cores)
+		}
+		target = diag.OoO(baseline)
+	} else {
+		if cfg, err = diagConfig(*machine); err != nil {
+			fatal(err)
+		}
+		if *rings > 0 {
+			cfg = diag.MultiRing(cfg, *rings, 2)
+		}
+		cfg.StridePrefetch = *prefetch
+		cfg.SharedFPUs = *sharedFPUs
+		cfg.SpeculativeDatapaths = *spec
+		if *workload != "" && *threads > 1 && cfg.Rings < *threads {
+			fmt.Fprintf(os.Stderr, "note: %d threads on %d ring(s); extra threads never run\n", *threads, cfg.Rings)
+		}
+		target = diag.DiAG(cfg)
 	}
-	cfg, err := diagConfig(*machine)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.MaxCycles = *maxCycles
-	if *rings > 0 {
-		cfg = diag.MultiRing(cfg, *rings, 2)
-	}
-	cfg.StridePrefetch = *prefetch
-	cfg.SharedFPUs = *sharedFPUs
-	cfg.SpeculativeDatapaths = *spec
-	if *workload != "" && *threads > 1 && cfg.Rings < *threads {
-		fmt.Fprintf(os.Stderr, "note: %d threads on %d ring(s); extra threads never run\n", *threads, cfg.Rings)
-	}
-	mach, err := diag.NewMachine(cfg, img)
-	if err != nil {
-		fatal(err)
-	}
-	mach.SetShards(*core.Shards)
-	var rec *trace.Recorder
+	opts := []diag.RunOption{diag.WithContext(ctx), diag.WithShards(*core.Shards), diag.WithMaxCycles(*maxCycles)}
+	var trace bytes.Buffer
 	if *traceN > 0 {
-		rec = trace.NewRecorder(*traceN)
-		mach.Ring(0).CPU().Hook = rec.Record
+		opts = append(opts, diag.WithTrace(&trace), diag.WithTraceDepth(*traceN))
 	}
-	if err := mach.RunContext(ctx); err != nil {
+	res, err := target.Run(img, opts...)
+	if err != nil {
 		fatal(err)
 	}
-	st, m := mach.Stats(), mach.Mem()
 	if check != nil {
-		if err := check(m); err != nil {
+		if err := check(res.Mem); err != nil {
 			fatal(fmt.Errorf("result check failed: %w", err))
 		}
 		if !*asJSON {
 			fmt.Println("result check: ok")
 		}
 	}
-	if *asJSON {
-		emitJSON(cfg.Name, st, power.DiAGEnergy(cfg, st))
-		return
+	switch {
+	case *asJSON && res.DiAG != nil:
+		emitJSON(cfg.Name, res.DiAG, diag.Energy(cfg, *res.DiAG))
+	case *asJSON:
+		emitJSON(baseline.Name, res.Baseline, diag.BaselineEnergy(baseline, *res.Baseline, 2000))
+	case res.DiAG != nil:
+		printDiAG(cfg, *res.DiAG, *showEnergy)
+	default:
+		printBaseline(baseline, *res.Baseline, *showEnergy)
 	}
-	printDiAG(cfg, st, *showEnergy)
-	if rec != nil {
+	if trace.Len() > 0 {
+		if *asJSON { // keep stdout valid JSON
+			os.Stderr.Write(trace.Bytes())
+			return
+		}
 		fmt.Println()
-		fmt.Print(rec.MixSummary())
-		fmt.Print(rec.Format())
+		fmt.Print(trace.String())
 	}
 }
 
@@ -166,41 +173,21 @@ func printDiAG(cfg diag.Config, st diag.Stats, energy bool) {
 	fmt.Printf("caches:    L1I %.1f%% miss   L1D %.1f%% miss   L2 %.1f%% miss   DRAM %d\n",
 		100*st.L1I.MissRate(), 100*st.L1D.MissRate(), 100*st.L2.MissRate(), st.DRAMAccesses)
 	if energy {
-		e := power.DiAGEnergy(cfg, st)
+		e := diag.Energy(cfg, st)
 		sh := e.Share()
 		fmt.Printf("energy:    %.3g J  (FP %.0f%%, lanes+ALU %.0f%%, memory %.0f%%, control %.0f%%)\n",
 			e.Total(), 100*sh[0], 100*sh[1], 100*sh[2], 100*sh[3])
 	}
 }
 
-func runBaseline(ctx context.Context, img *mem.Image, check func(*mem.Memory) error, cores, shards int, maxCycles int64, energy bool) {
-	cfg := ooo.Baseline()
-	if cores > 1 {
-		cfg = ooo.BaselineMulticore(cores)
-	}
-	cfg.MaxCycles = maxCycles
-	mach, err := ooo.NewMachine(cfg, img)
-	if err != nil {
-		fatal(err)
-	}
-	mach.SetShards(shards)
-	if err := mach.RunContext(ctx); err != nil {
-		fatal(err)
-	}
-	st, m := mach.Stats(), mach.Mem()
-	if check != nil {
-		if err := check(m); err != nil {
-			fatal(fmt.Errorf("result check failed: %w", err))
-		}
-		fmt.Println("result check: ok")
-	}
+func printBaseline(cfg diag.BaselineConfig, st diag.BaselineStats, energy bool) {
 	fmt.Printf("machine:   %s (%d core(s), %d-wide)\n", cfg.Name, cfg.Cores, cfg.IssueWidth)
 	fmt.Printf("cycles:    %d   retired: %d   IPC: %.3f\n", st.Cycles, st.Retired, st.IPC())
 	fmt.Printf("branches:  %d (%.2f%% mispredicted)\n", st.Branches, 100*st.MispredictRate())
 	fmt.Printf("caches:    L1I %.1f%% miss   L1D %.1f%% miss   L2 %.1f%% miss   DRAM %d\n",
 		100*st.L1I.MissRate(), 100*st.L1D.MissRate(), 100*st.L2.MissRate(), st.DRAMAccesses)
 	if energy {
-		e := power.OoOEnergy(cfg, st, 2000)
+		e := diag.BaselineEnergy(cfg, st, 2000)
 		sh := e.Share()
 		fmt.Printf("energy:    %.3g J  (FP %.0f%%, datapath %.0f%%, memory %.0f%%, control %.0f%%)\n",
 			e.Total(), 100*sh[0], 100*sh[1], 100*sh[2], 100*sh[3])

@@ -146,6 +146,16 @@ func (r *Ring) CPU() *iss.CPU { return r.cpu }
 // observability work at all.
 func (r *Ring) SetObserver(o obsv.Observer) { r.obs = o }
 
+// Observer returns the ring's event observer (nil when off).
+func (r *Ring) Observer() obsv.Observer { return r.obs }
+
+// Retired returns the ring's retired-instruction count.
+func (r *Ring) Retired() uint64 { return r.stats.Retired }
+
+// Fresh reports whether the ring has never stepped and has no PreStep
+// hook, so it may run on a sharded machine.
+func (r *Ring) Fresh() bool { return r.steps == 0 && r.PreStep == nil }
+
 // EnabledClusters reports how many clusters are currently usable.
 func (r *Ring) EnabledClusters() int { return r.enabled }
 

@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"diag/internal/cache"
+	"diag/internal/harts"
 	"diag/internal/isa"
 	"diag/internal/iss"
-	"diag/internal/mem"
 )
 
 // This file captures and restores full-machine state for deterministic
@@ -201,35 +201,21 @@ func (r *Ring) SetState(st *RingState) error {
 }
 
 // MachineState is a serializable copy of a complete DiAG machine:
-// configuration, memory, every ring, the shared L2 partitions, and the
-// DRAM access counter.
+// configuration, the machine-level state (memory, the shared L2
+// partitions, the DRAM access counter, the next ring to run), and every
+// ring.
 type MachineState struct {
-	Config       Config
-	Mem          mem.State
-	Rings        []RingState
-	L2s          []cache.State
-	DRAMAccesses uint64
-	NextRing     int
+	Config Config
+	harts.State
+	Rings []RingState
 }
 
 // State captures the machine's complete state. The machine must be
 // quiescent (not running) when captured.
 func (m *Machine) State() *MachineState {
-	st := &MachineState{
-		Config:       m.cfg,
-		Mem:          m.mem.State(),
-		Rings:        make([]RingState, len(m.rings)),
-		L2s:          make([]cache.State, len(m.l2s)),
-		NextRing: m.nextRing,
-	}
-	for _, d := range m.drams {
-		st.DRAMAccesses += d.Accesses
-	}
-	for i, r := range m.rings {
+	st := &MachineState{Config: m.cfg, State: m.Engine.State(), Rings: make([]RingState, len(m.Harts()))}
+	for i, r := range m.Harts() {
 		st.Rings[i] = r.State()
-	}
-	for i, l2 := range m.l2s {
-		st.L2s[i] = l2.State()
 	}
 	return st
 }
@@ -247,26 +233,14 @@ func NewMachineFromState(st *MachineState) (*Machine, error) {
 	if len(st.Rings) != cfg.Rings {
 		return nil, fmt.Errorf("diag: state has %d rings, config needs %d", len(st.Rings), cfg.Rings)
 	}
-	if st.NextRing < 0 || st.NextRing > cfg.Rings {
-		return nil, fmt.Errorf("diag: state next-ring %d out of range (%d rings)", st.NextRing, cfg.Rings)
+	eng, err := harts.FromState(cfg.shell(), &st.State, cfg.ringsAt(0))
+	if err != nil {
+		return nil, fmt.Errorf("diag: %w", err)
 	}
-	mach := buildMachine(cfg, mem.NewFromState(&st.Mem), 0)
-	if len(st.L2s) != len(mach.l2s) {
-		return nil, fmt.Errorf("diag: state has %d L2 partitions, config needs %d", len(st.L2s), len(mach.l2s))
-	}
-	for i := range mach.l2s {
-		if err := mach.l2s[i].SetState(&st.L2s[i]); err != nil {
-			return nil, err
-		}
-	}
-	for i, r := range mach.rings {
+	for i, r := range eng.Harts() {
 		if err := r.SetState(&st.Rings[i]); err != nil {
 			return nil, fmt.Errorf("diag: ring %d: %w", i, err)
 		}
 	}
-	// The per-ring DRAM split is a host-side concern (Stats sums the
-	// counters); the serialized total restores into the first one.
-	mach.drams[0].Accesses = st.DRAMAccesses
-	mach.nextRing = st.NextRing
-	return mach, nil
+	return &Machine{Engine: eng, cfg: cfg}, nil
 }

@@ -434,69 +434,91 @@ func (fp *forkPoint) eligible(faults []Fault) bool {
 	return fp != nil && len(faults) == 1 && faults[0].Cycle > fp.threshold
 }
 
+// machine is the method set diag.Machine and ooo.Machine share through
+// their common multi-hart engine (internal/harts).
+type machine interface {
+	SetBudgets(maxInst uint64, maxCycles int64)
+	SetObserver(o obsv.Observer)
+	RunUntil(ctx context.Context, limit uint64) (paused bool, err error)
+	Mem() *mem.Memory
+}
+
+// trialMachine is the campaign's single-hart machine with what the
+// injector needs of the hart: the per-machine parts, set once in
+// newMachine, that checkpoint and forkRunner then drive alike.
+type trialMachine struct {
+	machine
+	hart    Target       // the injection target (CPU, cluster fuses); geometry unset
+	preStep *func(int64) // the hart's PreStep hook
+	cycles  func() int64 // the machine's simulated cycles so far
+	capture func() *snap.Snapshot
+}
+
+// newMachine builds the campaign's machine from reset, or from s when it
+// is non-nil, under the given budgets (0 keeps the configuration's).
+func (c *Campaign) newMachine(s *snap.Snapshot, maxInst uint64, maxCycles int64) (*trialMachine, error) {
+	var tm *trialMachine
+	if c.DiAG != nil {
+		var mach *diag.Machine
+		var err error
+		if s != nil {
+			mach, err = diag.NewMachineFromState(s.DiAG)
+		} else {
+			mach, err = diag.NewMachine(*c.DiAG, c.Image)
+		}
+		if err != nil {
+			return nil, err
+		}
+		ring := mach.Ring(0)
+		tm = &trialMachine{
+			machine: mach,
+			hart:    Target{CPU: ring.CPU(), DisableCluster: ring.DisableCluster, Clusters: c.DiAG.Clusters},
+			preStep: &ring.PreStep,
+			cycles:  func() int64 { return mach.Stats().Cycles },
+			capture: func() *snap.Snapshot { return &snap.Snapshot{Kind: snap.KindDiAG, DiAG: mach.State()} },
+		}
+	} else {
+		var mach *ooo.Machine
+		var err error
+		if s != nil {
+			mach, err = ooo.NewMachineFromState(s.OoO)
+		} else {
+			mach, err = ooo.NewMachine(*c.OoO, c.Image)
+		}
+		if err != nil {
+			return nil, err
+		}
+		core := mach.Core(0)
+		tm = &trialMachine{
+			machine: mach,
+			hart:    Target{CPU: core.CPU()},
+			preStep: &core.PreStep,
+			cycles:  func() int64 { return mach.Stats().Cycles },
+			capture: func() *snap.Snapshot { return &snap.Snapshot{Kind: snap.KindOoO, OoO: mach.State()} },
+		}
+	}
+	tm.SetBudgets(maxInst, maxCycles)
+	return tm, nil
+}
+
 // checkpoint runs the unfaulted machine (under the trial budgets) to
 // the warmup pause and encodes it. A nil forkPoint (no error) means the
 // program halted inside the warmup window — nothing to fork, every
 // trial runs from reset.
 func (c *Campaign) checkpoint(ctx context.Context, maxInst uint64, maxCycles int64) (*forkPoint, error) {
-	if c.DiAG != nil {
-		cfg := *c.DiAG
-		if maxInst > 0 {
-			cfg.MaxInstructions = maxInst
-		}
-		if maxCycles > 0 {
-			cfg.MaxCycles = maxCycles
-		}
-		mach, err := diag.NewMachine(cfg, c.Image)
-		if err != nil {
-			return nil, err
-		}
-		paused, err := mach.RunUntil(ctx, c.Warmup)
-		if err != nil {
-			return nil, err
-		}
-		if !paused {
-			return nil, nil
-		}
-		st := mach.State()
-		thr := st.Rings[0].Now
-		if cyc := st.Rings[0].Stats.Cycles; cyc > thr {
-			thr = cyc
-		}
-		enc, err := snap.Encode(&snap.Snapshot{Kind: snap.KindDiAG, DiAG: st})
-		if err != nil {
-			return nil, err
-		}
-		return &forkPoint{enc: enc, threshold: thr}, nil
-	}
-	cfg := *c.OoO
-	if maxInst > 0 {
-		cfg.MaxInstructions = maxInst
-	}
-	if maxCycles > 0 {
-		cfg.MaxCycles = maxCycles
-	}
-	mach, err := ooo.NewMachine(cfg, c.Image)
+	mach, err := c.newMachine(nil, maxInst, maxCycles)
 	if err != nil {
 		return nil, err
 	}
 	paused, err := mach.RunUntil(ctx, c.Warmup)
+	if err != nil || !paused {
+		return nil, err
+	}
+	enc, err := snap.Encode(mach.capture())
 	if err != nil {
 		return nil, err
 	}
-	if !paused {
-		return nil, nil
-	}
-	st := mach.State()
-	thr := st.Cores[0].Now
-	if cyc := st.Cores[0].Stats.Cycles; cyc > thr {
-		thr = cyc
-	}
-	enc, err := snap.Encode(&snap.Snapshot{Kind: snap.KindOoO, OoO: st})
-	if err != nil {
-		return nil, err
-	}
-	return &forkPoint{enc: enc, threshold: thr}, nil
+	return &forkPoint{enc: enc, threshold: mach.cycles()}, nil
 }
 
 // forkRunner builds a closure running one (possibly faulted)
@@ -506,87 +528,31 @@ func (c *Campaign) checkpoint(ctx context.Context, maxInst uint64, maxCycles int
 // debugging).
 func (c *Campaign) forkRunner(fork *forkPoint, faults []Fault, dataAddr, dataLen uint32, maxInst uint64, maxCycles int64, obs obsv.Observer) func(context.Context) runResult {
 	img := c.Image
-	textLen := uint32(len(img.Text)) * 4
-	if c.DiAG != nil {
-		cfg := *c.DiAG
-		if maxInst > 0 {
-			cfg.MaxInstructions = maxInst
-		}
-		if maxCycles > 0 {
-			cfg.MaxCycles = maxCycles
-		}
-		return func(ctx context.Context) runResult {
-			var mach *diag.Machine
+	return func(ctx context.Context) runResult {
+		var s *snap.Snapshot
+		if fork.eligible(faults) {
 			var err error
-			if fork.eligible(faults) {
-				var s *snap.Snapshot
-				if s, err = snap.Decode(fork.enc); err == nil {
-					mach, err = diag.NewMachineFromState(s.DiAG)
-				}
-			} else {
-				mach, err = diag.NewMachine(cfg, img)
-			}
-			if err != nil {
+			if s, err = snap.Decode(fork.enc); err != nil {
 				return runResult{err: err}
 			}
-			if obs != nil {
-				mach.SetObserver(obs)
-			}
-			ring := mach.Ring(0)
-			inj := NewInjector(Target{
-				CPU:      ring.CPU(),
-				TextAddr: img.TextAddr, TextLen: textLen,
-				DataAddr: dataAddr, DataLen: dataLen,
-				DisableCluster: ring.DisableCluster,
-				Clusters:       cfg.Clusters,
-			}, faults)
-			ring.PreStep = inj.Poll
-			err = mach.RunContext(ctx)
-			return runResult{
-				digest:   mach.Mem().Digest(),
-				pc:       ring.CPU().PC,
-				cycles:   mach.Stats().Cycles,
-				injected: inj.Injected > 0,
-				err:      err,
-			}
 		}
-	}
-	cfg := *c.OoO
-	if maxInst > 0 {
-		cfg.MaxInstructions = maxInst
-	}
-	if maxCycles > 0 {
-		cfg.MaxCycles = maxCycles
-	}
-	return func(ctx context.Context) runResult {
-		var mach *ooo.Machine
-		var err error
-		if fork.eligible(faults) {
-			var s *snap.Snapshot
-			if s, err = snap.Decode(fork.enc); err == nil {
-				mach, err = ooo.NewMachineFromState(s.OoO)
-			}
-		} else {
-			mach, err = ooo.NewMachine(cfg, img)
-		}
+		mach, err := c.newMachine(s, maxInst, maxCycles)
 		if err != nil {
 			return runResult{err: err}
 		}
 		if obs != nil {
 			mach.SetObserver(obs)
 		}
-		core := mach.Core(0)
-		inj := NewInjector(Target{
-			CPU:      core.CPU(),
-			TextAddr: img.TextAddr, TextLen: textLen,
-			DataAddr: dataAddr, DataLen: dataLen,
-		}, faults)
-		core.PreStep = inj.Poll
-		err = mach.RunContext(ctx)
+		target := mach.hart
+		target.TextAddr, target.TextLen = img.TextAddr, uint32(len(img.Text))*4
+		target.DataAddr, target.DataLen = dataAddr, dataLen
+		inj := NewInjector(target, faults)
+		*mach.preStep = inj.Poll
+		_, err = mach.RunUntil(ctx, 0)
 		return runResult{
 			digest:   mach.Mem().Digest(),
-			pc:       core.CPU().PC,
-			cycles:   mach.Stats().Cycles,
+			pc:       target.CPU.PC,
+			cycles:   mach.cycles(),
 			injected: inj.Injected > 0,
 			err:      err,
 		}

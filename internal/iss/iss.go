@@ -564,13 +564,13 @@ func (c *CPU) exec(in *isa.Inst, ex *Exec) {
 	case isa.OpFSQRTS:
 		c.setFArith(in.Rd, float32(math.Sqrt(float64(c.FReg(in.Rs1)))))
 	case isa.OpFMADDS:
-		c.setFArith(in.Rd, fma32(c.FReg(in.Rs1), c.FReg(in.Rs2), c.FReg(in.Rs3)))
+		c.setFArith(in.Rd, FMA32(c.FReg(in.Rs1), c.FReg(in.Rs2), c.FReg(in.Rs3)))
 	case isa.OpFMSUBS:
-		c.setFArith(in.Rd, fma32(c.FReg(in.Rs1), c.FReg(in.Rs2), -c.FReg(in.Rs3)))
+		c.setFArith(in.Rd, FMA32(c.FReg(in.Rs1), c.FReg(in.Rs2), -c.FReg(in.Rs3)))
 	case isa.OpFNMSUBS:
-		c.setFArith(in.Rd, fma32(-c.FReg(in.Rs1), c.FReg(in.Rs2), c.FReg(in.Rs3)))
+		c.setFArith(in.Rd, FMA32(-c.FReg(in.Rs1), c.FReg(in.Rs2), c.FReg(in.Rs3)))
 	case isa.OpFNMADDS:
-		c.setFArith(in.Rd, fma32(-c.FReg(in.Rs1), c.FReg(in.Rs2), -c.FReg(in.Rs3)))
+		c.setFArith(in.Rd, FMA32(-c.FReg(in.Rs1), c.FReg(in.Rs2), -c.FReg(in.Rs3)))
 
 	case isa.OpFSGNJS:
 		c.F[in.Rd] = c.F[in.Rs1]&0x7FFFFFFF | c.F[in.Rs2]&0x80000000
@@ -709,9 +709,24 @@ func (c *CPU) setFArith(rd isa.Reg, v float32) {
 	c.F[rd] = math.Float32bits(v)
 }
 
-// fma32 computes a*b+c with a single rounding, as the hardware FMA does.
-func fma32(a, b, c float32) float32 {
-	return float32(math.FMA(float64(a), float64(b), float64(c)))
+// FMA32 computes a*b+c with a single rounding to float32, as the
+// hardware FMA does. The float64 product is exact (24+24 significand
+// bits), but rounding the float64 sum to nearest and then to float32
+// double-rounds: a sum whose float64 rounding lands on a float32
+// halfway point then ties to even, though the exact sum lay past it.
+// Rounding the float64 sum to odd instead keeps that information:
+// when the sum is inexact (the TwoSum residual r is non-zero) and its
+// last bit is even, step one ulp toward the exact value. With 53 >=
+// 24+2 bits, rounding that to float32 is then correct.
+func FMA32(a, b, c float32) float32 {
+	p, z := float64(a)*float64(b), float64(c)
+	s := p + z
+	bb := s - p
+	r := (p - (s - bb)) + (z - bb)
+	if math.Float64bits(s)&1 == 0 && r != 0 && !math.IsNaN(r) {
+		s = math.Nextafter(s, math.Copysign(math.Inf(1), r))
+	}
+	return float32(s)
 }
 
 // fminmax implements RISC-V fmin.s/fmax.s NaN semantics: if one operand is

@@ -2,6 +2,8 @@ package iss
 
 import (
 	"math"
+	"math/big"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -539,5 +541,91 @@ func TestDivRemInvariantQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFMA32Ties pins single rounding on the cases a float64
+// intermediate double-rounds: the exact product sits on a float32
+// halfway point and a tiny addend, lost when the sum rounds to float64,
+// decides the direction.
+func TestFMA32Ties(t *testing.T) {
+	const (
+		a  = 0x3f800800 // 1 + 2^-12
+		b3 = 0x3f801800 // 1 + 3*2^-12
+	)
+	tiny := math.Float32frombits(0x17800000) // 2^-80
+	cases := []struct {
+		a, b uint32
+		c    float32
+		want uint32
+	}{
+		{a, a, tiny, 0x3f801001},   // 1 + 2^-11 + 2^-24 + 2^-80: past the tie, round up
+		{a, a, -tiny, 0x3f801000},  // short of the tie, round down
+		{a, b3, -tiny, 0x3f802001}, // tie would round to even (up); exact is below it
+		{a, b3, tiny, 0x3f802002},  // past the tie, round up
+		{a, a, 0, 0x3f801000},      // an exact tie rounds to even
+	}
+	for _, tc := range cases {
+		got := math.Float32bits(FMA32(math.Float32frombits(tc.a), math.Float32frombits(tc.b), tc.c))
+		if got != tc.want {
+			t.Errorf("FMA32(%#x, %#x, %g) = %#x, want %#x", tc.a, tc.b, tc.c, got, tc.want)
+		}
+	}
+}
+
+// bigFMA is the reference: a*b+c computed exactly in math/big and
+// rounded once to float32 (to nearest, ties to even).
+func bigFMA(a, b, c float32) float32 {
+	x := new(big.Float).SetPrec(1024).SetFloat64(float64(a))
+	x.Mul(x, new(big.Float).SetFloat64(float64(b)))
+	x.Add(x, new(big.Float).SetFloat64(float64(c)))
+	f, _ := x.Float32()
+	return f
+}
+
+// TestFusedMultiplyAddMatchesBig cross-checks fmadd/fmsub/fnmsub/fnmadd
+// on the ISS against the math/big reference: seeded random operands,
+// half of them near float32 halfway points where double rounding bites.
+func TestFusedMultiplyAddMatchesBig(t *testing.T) {
+	c := load(t, []isa.Inst{
+		{Op: isa.OpFMADDS, Rd: 4, Rs1: 1, Rs2: 2, Rs3: 3},
+		{Op: isa.OpFMSUBS, Rd: 5, Rs1: 1, Rs2: 2, Rs3: 3},
+		{Op: isa.OpFNMSUBS, Rd: 6, Rs1: 1, Rs2: 2, Rs3: 3},
+		{Op: isa.OpFNMADDS, Rd: 7, Rs1: 1, Rs2: 2, Rs3: 3},
+		{Op: isa.OpEBREAK},
+	})
+	entry := c.PC
+	rng := rand.New(rand.NewSource(1))
+	sign := func() float32 { return float32(1 - 2*rng.Intn(2)) }
+	scale := func(lo, hi int) float32 { return float32(math.Ldexp(1, lo+rng.Intn(hi-lo+1))) }
+	mismatches := 0
+	const trials = 20000
+	for i := 0; i < trials; i++ {
+		var a, b, z float32
+		if i%2 == 0 {
+			// (1 + i*2^-12)(1 + j*2^-12) has its 2^-24 bit set whenever
+			// i*j is odd: a float32 halfway point for the addend to tip.
+			a = sign() * (1 + float32(1+rng.Intn(4095))/4096) * scale(-20, 20)
+			b = sign() * (1 + float32(1+rng.Intn(4095))/4096) * scale(-20, 20)
+			z = sign() * (1 + float32(rng.Intn(1<<23))/(1<<23)) * a * b * scale(-100, -30)
+		} else {
+			a = sign() * (1 + rng.Float32()) * scale(-30, 30)
+			b = sign() * (1 + rng.Float32()) * scale(-30, 30)
+			z = sign() * (1 + rng.Float32()) * scale(-60, 60)
+		}
+		want := [4]float32{bigFMA(a, b, z), bigFMA(a, b, -z), bigFMA(-a, b, z), bigFMA(-a, b, -z)}
+		c.PC, c.Halted = entry, false
+		c.F[1], c.F[2], c.F[3] = math.Float32bits(a), math.Float32bits(b), math.Float32bits(z)
+		c.Run(10)
+		if c.Err != nil {
+			t.Fatal(c.Err)
+		}
+		for k, w := range want {
+			if got := c.F[4+k]; got != math.Float32bits(w) && mismatches < 10 {
+				mismatches++
+				t.Errorf("op %d: a=%#x b=%#x c=%#x: got %#x, want %#x", k,
+					math.Float32bits(a), math.Float32bits(b), math.Float32bits(z), got, math.Float32bits(w))
+			}
+		}
 	}
 }

@@ -44,7 +44,7 @@ type Config struct {
 
 	L1ISize     int
 	L1DSize     int
-	L2Size      int
+	L2Size      int // bytes; 0 = default (4 MiB), <= 0 after defaults = no shared L2
 	DRAMLatency int
 
 	MaxInstructions uint64

@@ -80,19 +80,10 @@ func (s *Stats) Merge(o Stats) {
 	s.StoreForwards += o.StoreForwards
 	s.Loads += o.Loads
 	s.Stores += o.Stores
-	mergeCache(&s.L1I, o.L1I)
-	mergeCache(&s.L1D, o.L1D)
-	mergeCache(&s.L2, o.L2)
+	s.L1I.Add(o.L1I)
+	s.L1D.Add(o.L1D)
+	s.L2.Add(o.L2)
 	s.DRAMAccesses += o.DRAMAccesses
-}
-
-func mergeCache(dst *cache.Stats, src cache.Stats) {
-	dst.Accesses += src.Accesses
-	dst.Hits += src.Hits
-	dst.Misses += src.Misses
-	dst.Evictions += src.Evictions
-	dst.Writebacks += src.Writebacks
-	dst.Prefetches += src.Prefetches
 }
 
 // fuPool models a class of functional units: k units, each either fully
@@ -189,6 +180,16 @@ type Core struct {
 // SetObserver attaches o to the core's cycle-level event stream
 // (internal/obsv). Must be called before Run; nil turns it off.
 func (c *Core) SetObserver(o obsv.Observer) { c.obs = o }
+
+// Observer returns the core's event observer (nil when off).
+func (c *Core) Observer() obsv.Observer { return c.obs }
+
+// Retired returns the core's retired-instruction count.
+func (c *Core) Retired() uint64 { return c.stats.Retired }
+
+// Fresh reports whether the core has never stepped and has no PreStep
+// hook, so it may run on a sharded machine.
+func (c *Core) Fresh() bool { return c.steps == 0 && c.PreStep == nil }
 
 // newCore builds one core above the shared port.
 func newCore(cfg Config, m *mem.Memory, entry uint32, shared cache.Port) *Core {

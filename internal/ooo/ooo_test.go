@@ -366,3 +366,30 @@ bump:
 			st.Mispredicts, st.Branches)
 	}
 }
+
+// TestNoL2 pins Config.L2Size <= 0 as "no shared L2" at every core
+// count: a multicore machine must not partition a phantom L2 out of a
+// non-positive size.
+func TestNoL2(t *testing.T) {
+	img := shardImage(t)
+	for _, cores := range []int{1, 2} {
+		for _, size := range []int{-1, 0} {
+			cfg := BaselineMulticore(cores)
+			cfg.L2Size = size
+			st, _, err := RunImage(cfg, img)
+			if err != nil {
+				t.Fatalf("cores=%d L2Size=%d: %v", cores, size, err)
+			}
+			if size == 0 { // defaults to 4 MiB: the L2 is there
+				if st.L2.Accesses == 0 {
+					t.Errorf("cores=%d default L2: no L2 accesses", cores)
+				}
+				continue
+			}
+			if st.L2.Accesses != 0 || st.DRAMAccesses == 0 {
+				t.Errorf("cores=%d L2Size=%d: %d L2 accesses, %d DRAM accesses; want 0 and > 0",
+					cores, size, st.L2.Accesses, st.DRAMAccesses)
+			}
+		}
+	}
+}

@@ -629,7 +629,7 @@ func putDiAGMachine(w *writer, s *diag.MachineState) {
 		putCacheState(w, &s.L2s[i])
 	}
 	w.u64(s.DRAMAccesses)
-	w.vint(s.NextRing)
+	w.vint(s.Next)
 }
 
 func getDiAGMachine(r *reader) *diag.MachineState {
@@ -655,7 +655,7 @@ func getDiAGMachine(r *reader) *diag.MachineState {
 		}
 	}
 	s.DRAMAccesses = r.u64()
-	s.NextRing = r.vint()
+	s.Next = r.vint()
 	return s
 }
 
@@ -856,7 +856,7 @@ func putOoOMachine(w *writer, s *ooo.MachineState) {
 		putCacheState(w, &s.L2s[i])
 	}
 	w.u64(s.DRAMAccesses)
-	w.vint(s.NextCore)
+	w.vint(s.Next)
 }
 
 func getOoOMachine(r *reader) *ooo.MachineState {
@@ -882,6 +882,6 @@ func getOoOMachine(r *reader) *ooo.MachineState {
 		}
 	}
 	s.DRAMAccesses = r.u64()
-	s.NextCore = r.vint()
+	s.Next = r.vint()
 	return s
 }

@@ -2,8 +2,8 @@ package workloads
 
 import (
 	"fmt"
-	"math"
 
+	"diag/internal/iss"
 	"diag/internal/mem"
 )
 
@@ -76,15 +76,11 @@ func checkBackprop(m *mem.Memory, p Params) error {
 	for j := 0; j < mm; j++ {
 		var acc float32
 		for i := 0; i < backpropN; i++ {
-			acc = fma32(in[i], w[j*backpropN+i], acc)
+			acc = iss.FMA32(in[i], w[j*backpropN+i], acc)
 		}
 		want[j] = acc
 	}
 	return checkFloats(m, outBase, want, "backprop.out")
-}
-
-func fma32(a, b, c float32) float32 {
-	return float32(math.FMA(float64(a), float64(b), float64(c)))
 }
 
 // ---------------------------------------------------------------------
@@ -381,7 +377,7 @@ func checkHeartwall(m *mem.Memory, p Params) error {
 	for pos := 0; pos < n; pos++ {
 		var acc float32
 		for k := 0; k < hwWin; k++ {
-			acc = fma32(frame[pos+k], tmpl[k], acc)
+			acc = iss.FMA32(frame[pos+k], tmpl[k], acc)
 		}
 		want[pos] = acc
 	}
@@ -482,7 +478,7 @@ func checkHotspot(m *mem.Memory, p Params) error {
 			}
 			sum := (grid[i-1] + grid[i+1]) + (grid[i-hsCols] + grid[i+hsCols])
 			lap := sum - ((grid[i] + grid[i]) + (grid[i] + grid[i]))
-			want[i] = fma32(lap, 0.25, grid[i])
+			want[i] = iss.FMA32(lap, 0.25, grid[i])
 		}
 	}
 	return checkFloats(m, outBase, want, "hotspot.out")

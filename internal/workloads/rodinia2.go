@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 
+	"diag/internal/iss"
 	"diag/internal/mem"
 )
 
@@ -81,7 +82,7 @@ func checkKMeans(m *mem.Memory, p Params) error {
 			var d2 float32
 			for d := 0; d < kmDims; d++ {
 				diff := pts[i*kmDims+d] - cent[k*kmDims+d]
-				d2 = fma32(diff, diff, d2)
+				d2 = iss.FMA32(diff, diff, d2)
 			}
 			if k == 0 || d2 < best {
 				best = d2
@@ -184,7 +185,7 @@ func checkLUD(m *mem.Memory, p Params) error {
 			l := a[i*n+k] / a[k*n+k]
 			a[i*n+k] = l
 			for j := k + 1; j < n; j++ {
-				a[i*n+j] = fma32(-l, a[k*n+j], a[i*n+j])
+				a[i*n+j] = iss.FMA32(-l, a[k*n+j], a[i*n+j])
 			}
 		}
 	}
@@ -556,14 +557,14 @@ func checkSRAD(m *mem.Memory, p Params) error {
 			dN := img[i-hsCols] - ctr
 			dS := img[i+hsCols] - ctr
 			g2 := dW * dW
-			g2 = fma32(dE, dE, g2)
-			g2 = fma32(dN, dN, g2)
-			g2 = fma32(dS, dS, g2)
+			g2 = iss.FMA32(dE, dE, g2)
+			g2 = iss.FMA32(dN, dN, g2)
+			g2 = iss.FMA32(dS, dS, g2)
 			g2 = g2 / 100.0
 			coeff := float32(1.0) / (1.0 + g2)
 			sum := ((dW + dE) + dN) + dS
 			sum = sum * coeff
-			want[i] = fma32(sum, 0.25, ctr)
+			want[i] = iss.FMA32(sum, 0.25, ctr)
 		}
 	}
 	return checkFloats(m, outBase, want, "srad.out")

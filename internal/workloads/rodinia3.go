@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 
+	"diag/internal/iss"
 	"diag/internal/mem"
 )
 
@@ -78,7 +79,7 @@ func checkStreamcluster(m *mem.Memory, p Params) error {
 			var d2 float32
 			for d := 0; d < kmDims; d++ {
 				diff := pts[i*kmDims+d] - centers[k*kmDims+d]
-				d2 = fma32(diff, diff, d2)
+				d2 = iss.FMA32(diff, diff, d2)
 			}
 			cost := d2 * weights[i]
 			if k == 0 || cost < best {
@@ -165,8 +166,8 @@ func checkLavaMD(m *mem.Memory, p Params) error {
 			dy := pos[(i+j)*3+1] - pos[i*3+1]
 			dz := pos[(i+j)*3+2] - pos[i*3+2]
 			d2 := dx * dx
-			d2 = fma32(dy, dy, d2)
-			d2 = fma32(dz, dz, d2)
+			d2 = iss.FMA32(dy, dy, d2)
+			d2 = iss.FMA32(dz, dz, d2)
 			d2 += 1.0
 			force += charge[i+j] / d2
 		}
@@ -239,7 +240,7 @@ func checkCFD(m *mem.Memory, p Params) error {
 		acc := vals[i]
 		for k := 0; k < cfdNbrs; k++ {
 			diff := vals[nbrs[i*cfdNbrs+k]] - acc
-			acc = fma32(diff, coeffs[k], acc)
+			acc = iss.FMA32(diff, coeffs[k], acc)
 		}
 		want[i] = acc
 	}
@@ -308,7 +309,7 @@ func checkMyocyte(m *mem.Memory, p Params) error {
 	for i := 0; i < n; i++ {
 		y := y0[i]
 		for s := 0; s < myoSteps; s++ {
-			y = fma32(y*(1.0-y), 0.01, y)
+			y = iss.FMA32(y*(1.0-y), 0.01, y)
 		}
 		want[i] = y
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 
+	"diag/internal/iss"
 	"diag/internal/mem"
 )
 
@@ -169,7 +170,7 @@ func checkLBM(m *mem.Memory, p Params) error {
 		}
 		feq := rho * 0.2
 		for q := 0; q < lbmQ; q++ {
-			want[i*lbmQ+q] = fma32(feq-f[i*lbmQ+q], 0.6, f[i*lbmQ+q])
+			want[i*lbmQ+q] = iss.FMA32(feq-f[i*lbmQ+q], 0.6, f[i*lbmQ+q])
 		}
 	}
 	return checkFloats(m, outBase, want, "lbm.f")
@@ -260,7 +261,7 @@ func checkImagick(m *mem.Memory, p Params) error {
 			k := 0
 			for dr := -1; dr <= 1; dr++ {
 				for dc := -1; dc <= 1; dc++ {
-					acc = fma32(img[i+dr*hsCols+dc], imKernel[k], acc)
+					acc = iss.FMA32(img[i+dr*hsCols+dc], imKernel[k], acc)
 					k++
 				}
 			}
@@ -342,8 +343,8 @@ func checkNAB(m *mem.Memory, p Params) error {
 		dy := pos[i*3+1] - -0.25
 		dz := pos[i*3+2] - 1.5
 		r2 := dx * dx
-		r2 = fma32(dy, dy, r2)
-		r2 = fma32(dz, dz, r2)
+		r2 = iss.FMA32(dy, dy, r2)
+		r2 = iss.FMA32(dz, dz, r2)
 		r2 += 0.01
 		r := float32(math.Sqrt(float64(r2)))
 		want[i] = 6.674 / (r2 * r)
@@ -440,11 +441,11 @@ func checkPovray(m *mem.Memory, p Params) error {
 	for i := 0; i < n; i++ {
 		dx, dy, dz := dirs[i*3], dirs[i*3+1], dirs[i*3+2]
 		a := dx * dx
-		a = fma32(dy, dy, a)
-		a = fma32(dz, dz, a)
+		a = iss.FMA32(dy, dy, a)
+		a = iss.FMA32(dz, dz, a)
 		b := dx * float32(cx)
-		b = fma32(dy, cy, b)
-		b = fma32(dz, cz, b)
+		b = iss.FMA32(dy, cy, b)
+		b = iss.FMA32(dz, cz, b)
 		disc := b*b - a*float32(k)
 		if disc < 0 {
 			want[i] = -1

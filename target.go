@@ -1,6 +1,7 @@
 package diag
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"diag/internal/isa"
 	"diag/internal/iss"
 	"diag/internal/mem"
+	"diag/internal/obsv"
 	"diag/internal/ooo"
 	"diag/internal/snap"
 	"diag/internal/trace"
@@ -171,174 +173,110 @@ func WithRunUntil(n uint64) RunOption {
 	return func(o *runOpts) { o.runUntil = n }
 }
 
-// ---- DiAG target ----
+// ---- Timing targets: DiAG and the OoO baseline ----
 
-type diagTarget struct {
-	cfg  Config
-	mach *idiag.Machine // last successful run, for Checkpoint
+// timingMachine is the method set the DiAG machine and the OoO baseline
+// share through their common multi-hart engine (internal/harts).
+type timingMachine interface {
+	SetShards(n int)
+	SetBudgets(maxInst uint64, maxCycles int64)
+	SetObserver(o obsv.Observer)
+	SetHook(hook func(iss.Exec))
+	RunUntil(ctx context.Context, limit uint64) (paused bool, err error)
+	Mem() *mem.Memory
+}
+
+// timingTarget is the Target of either timing machine: the functions
+// carry the only per-machine parts (construction, restore, statistics,
+// capture), and Run, Resume and Checkpoint drive both alike.
+type timingTarget struct {
+	name    string
+	kind    snap.Kind
+	build   func(p *Program) (timingMachine, error)
+	restore func(s *snap.Snapshot) (timingMachine, error)
+	result  func(m timingMachine, r *Result) // fills the typed statistics
+	capture func(m timingMachine) *snap.Snapshot
+	setup   func(c *fault.Campaign)
+	mach    timingMachine // last successful run, for Checkpoint
 }
 
 // DiAG returns the Target for a DiAG processor with cfg. The zero
 // Config is valid (defaults apply).
-func DiAG(cfg Config) Target { return &diagTarget{cfg: cfg} }
-
-// Name implements Target.
-func (t *diagTarget) Name() string {
-	if t.cfg.Name != "" {
-		return t.cfg.Name
+func DiAG(cfg Config) Target {
+	return &timingTarget{
+		name: cmp.Or(cfg.Name, "diag"), kind: snap.KindDiAG,
+		build:   func(p *Program) (timingMachine, error) { return idiag.NewMachine(cfg, p) },
+		restore: func(s *snap.Snapshot) (timingMachine, error) { return idiag.NewMachineFromState(s.DiAG) },
+		result: func(m timingMachine, r *Result) {
+			st := m.(*idiag.Machine).Stats()
+			r.Cycles, r.Retired, r.DiAG = st.Cycles, st.Retired, &st
+		},
+		capture: func(m timingMachine) *snap.Snapshot {
+			return &snap.Snapshot{Kind: snap.KindDiAG, DiAG: m.(*idiag.Machine).State()}
+		},
+		setup: func(c *fault.Campaign) { cfg := cfg; c.DiAG = &cfg },
 	}
-	return "diag"
-}
-
-// Run implements Target, executing p on a fresh DiAG machine.
-func (t *diagTarget) Run(p *Program, opts ...RunOption) (*Result, error) {
-	o, ctx, cancel := applyOptions(opts)
-	defer cancel()
-	cfg := t.cfg
-	if o.maxCycles > 0 {
-		cfg.MaxCycles = o.maxCycles
-	}
-	if o.maxInst > 0 {
-		cfg.MaxInstructions = o.maxInst
-	}
-	mach, err := idiag.NewMachine(cfg, p)
-	if err != nil {
-		return nil, err
-	}
-	mach.SetShards(o.shards)
-	return t.drive(o, mach, func() (bool, error) { return mach.RunUntil(ctx, o.runUntil) })
-}
-
-// Resume implements Target, rebuilding the machine from s.
-func (t *diagTarget) Resume(s *Snapshot, opts ...RunOption) (*Result, error) {
-	o, ctx, cancel := applyOptions(opts)
-	defer cancel()
-	if s == nil || s.s == nil || s.s.Kind != snap.KindDiAG {
-		return nil, fmt.Errorf("diag: target %s cannot resume a %s snapshot", t.Name(), snapshotKind(s))
-	}
-	mach, err := idiag.NewMachineFromState(s.s.DiAG)
-	if err != nil {
-		return nil, err
-	}
-	mach.SetShards(o.shards)
-	mach.SetBudgets(o.maxInst, o.maxCycles)
-	return t.drive(o, mach, func() (bool, error) { return mach.RunUntil(ctx, o.runUntil) })
-}
-
-// drive attaches observability, runs the machine, and packages the
-// result, retaining the machine for Checkpoint on success.
-func (t *diagTarget) drive(o runOpts, mach *idiag.Machine, run func() (bool, error)) (*Result, error) {
-	t.mach = nil
-	if o.obs != nil {
-		mach.SetObserver(o.obs)
-	}
-	var rec *trace.Recorder
-	if o.trace != nil {
-		rec = trace.NewRecorder(o.traceDepth)
-		for i := 0; i < mach.Config().Rings; i++ {
-			mach.Ring(i).CPU().Hook = rec.Record
-		}
-	}
-	paused, runErr := run()
-	if rec != nil {
-		io.WriteString(o.trace, rec.MixSummary())
-		io.WriteString(o.trace, rec.Format())
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	t.mach = mach
-	st := mach.Stats()
-	return &Result{
-		Machine: t.Name(), Done: !paused,
-		Cycles: st.Cycles, Retired: st.Retired,
-		Mem: mach.Mem(), DiAG: &st,
-	}, nil
-}
-
-// Checkpoint implements Target, capturing the last successful run.
-func (t *diagTarget) Checkpoint() (*Snapshot, error) {
-	if t.mach == nil {
-		return nil, fmt.Errorf("diag: target %s has no run to checkpoint; Run or Resume first", t.Name())
-	}
-	return &Snapshot{s: &snap.Snapshot{Kind: snap.KindDiAG, DiAG: t.mach.State()}}, nil
-}
-
-func (t *diagTarget) fork() Target { return &diagTarget{cfg: t.cfg} }
-
-func (t *diagTarget) campaign(c *fault.Campaign) error {
-	cfg := t.cfg
-	c.DiAG = &cfg
-	return nil
-}
-
-// ---- OoO baseline target ----
-
-type oooTarget struct {
-	cfg  BaselineConfig
-	mach *ooo.Machine
 }
 
 // OoO returns the Target for the out-of-order baseline with cfg. The
 // zero Config is valid (defaults apply).
-func OoO(cfg BaselineConfig) Target { return &oooTarget{cfg: cfg} }
-
-// Name implements Target.
-func (t *oooTarget) Name() string {
-	if t.cfg.Name != "" {
-		return t.cfg.Name
+func OoO(cfg BaselineConfig) Target {
+	return &timingTarget{
+		name: cmp.Or(cfg.Name, "ooo"), kind: snap.KindOoO,
+		build:   func(p *Program) (timingMachine, error) { return ooo.NewMachine(cfg, p) },
+		restore: func(s *snap.Snapshot) (timingMachine, error) { return ooo.NewMachineFromState(s.OoO) },
+		result: func(m timingMachine, r *Result) {
+			st := m.(*ooo.Machine).Stats()
+			r.Cycles, r.Retired, r.Baseline = st.Cycles, st.Retired, &st
+		},
+		capture: func(m timingMachine) *snap.Snapshot {
+			return &snap.Snapshot{Kind: snap.KindOoO, OoO: m.(*ooo.Machine).State()}
+		},
+		setup: func(c *fault.Campaign) { cfg := cfg; c.OoO = &cfg },
 	}
-	return "ooo"
 }
 
-// Run implements Target, executing p on a fresh baseline machine.
-func (t *oooTarget) Run(p *Program, opts ...RunOption) (*Result, error) {
-	o, ctx, cancel := applyOptions(opts)
-	defer cancel()
-	cfg := t.cfg
-	if o.maxCycles > 0 {
-		cfg.MaxCycles = o.maxCycles
-	}
-	if o.maxInst > 0 {
-		cfg.MaxInstructions = o.maxInst
-	}
-	mach, err := ooo.NewMachine(cfg, p)
+// Name implements Target.
+func (t *timingTarget) Name() string { return t.name }
+
+// Run implements Target, executing p on a fresh machine.
+func (t *timingTarget) Run(p *Program, opts ...RunOption) (*Result, error) {
+	mach, err := t.build(p)
 	if err != nil {
 		return nil, err
 	}
-	mach.SetShards(o.shards)
-	return t.drive(o, mach, func() (bool, error) { return mach.RunUntil(ctx, o.runUntil) })
+	return t.drive(mach, opts)
 }
 
 // Resume implements Target, rebuilding the machine from s.
-func (t *oooTarget) Resume(s *Snapshot, opts ...RunOption) (*Result, error) {
-	o, ctx, cancel := applyOptions(opts)
-	defer cancel()
-	if s == nil || s.s == nil || s.s.Kind != snap.KindOoO {
-		return nil, fmt.Errorf("diag: target %s cannot resume a %s snapshot", t.Name(), snapshotKind(s))
+func (t *timingTarget) Resume(s *Snapshot, opts ...RunOption) (*Result, error) {
+	if s == nil || s.s == nil || s.s.Kind != t.kind {
+		return nil, fmt.Errorf("diag: target %s cannot resume a %s snapshot", t.name, snapshotKind(s))
 	}
-	mach, err := ooo.NewMachineFromState(s.s.OoO)
+	mach, err := t.restore(s.s)
 	if err != nil {
 		return nil, err
 	}
-	mach.SetShards(o.shards)
-	mach.SetBudgets(o.maxInst, o.maxCycles)
-	return t.drive(o, mach, func() (bool, error) { return mach.RunUntil(ctx, o.runUntil) })
+	return t.drive(mach, opts)
 }
 
-func (t *oooTarget) drive(o runOpts, mach *ooo.Machine, run func() (bool, error)) (*Result, error) {
+// drive applies the run options, runs the machine, and packages the
+// result, retaining the machine for Checkpoint on success.
+func (t *timingTarget) drive(mach timingMachine, opts []RunOption) (*Result, error) {
+	o, ctx, cancel := applyOptions(opts)
+	defer cancel()
 	t.mach = nil
+	mach.SetShards(o.shards)
+	mach.SetBudgets(o.maxInst, o.maxCycles)
 	if o.obs != nil {
 		mach.SetObserver(o.obs)
 	}
 	var rec *trace.Recorder
 	if o.trace != nil {
 		rec = trace.NewRecorder(o.traceDepth)
-		for i := 0; i < mach.Config().Cores; i++ {
-			mach.Core(i).CPU().Hook = rec.Record
-		}
+		mach.SetHook(rec.Record)
 	}
-	paused, runErr := run()
+	paused, runErr := mach.RunUntil(ctx, o.runUntil)
 	if rec != nil {
 		io.WriteString(o.trace, rec.MixSummary())
 		io.WriteString(o.trace, rec.Format())
@@ -347,27 +285,27 @@ func (t *oooTarget) drive(o runOpts, mach *ooo.Machine, run func() (bool, error)
 		return nil, runErr
 	}
 	t.mach = mach
-	st := mach.Stats()
-	return &Result{
-		Machine: t.Name(), Done: !paused,
-		Cycles: st.Cycles, Retired: st.Retired,
-		Mem: mach.Mem(), Baseline: &st,
-	}, nil
+	res := &Result{Machine: t.name, Done: !paused, Mem: mach.Mem()}
+	t.result(mach, res)
+	return res, nil
 }
 
 // Checkpoint implements Target, capturing the last successful run.
-func (t *oooTarget) Checkpoint() (*Snapshot, error) {
+func (t *timingTarget) Checkpoint() (*Snapshot, error) {
 	if t.mach == nil {
-		return nil, fmt.Errorf("diag: target %s has no run to checkpoint; Run or Resume first", t.Name())
+		return nil, fmt.Errorf("diag: target %s has no run to checkpoint; Run or Resume first", t.name)
 	}
-	return &Snapshot{s: &snap.Snapshot{Kind: snap.KindOoO, OoO: t.mach.State()}}, nil
+	return &Snapshot{s: t.capture(t.mach)}, nil
 }
 
-func (t *oooTarget) fork() Target { return &oooTarget{cfg: t.cfg} }
+func (t *timingTarget) fork() Target {
+	f := *t
+	f.mach = nil
+	return &f
+}
 
-func (t *oooTarget) campaign(c *fault.Campaign) error {
-	cfg := t.cfg
-	c.OoO = &cfg
+func (t *timingTarget) campaign(c *fault.Campaign) error {
+	t.setup(c)
 	return nil
 }
 

@@ -298,3 +298,35 @@ func TestTargetJobForksState(t *testing.T) {
 		t.Fatalf("original target lost its state to the job: %v", err)
 	}
 }
+
+// TestShardedTraceMatchesSerial: WithTrace hooks one recorder onto
+// every ring's or core's CPU, so a sharded run must fall back to the
+// sequential engine. The trace output (instruction mix and tail) must
+// be byte-identical to the unsharded run's, and under -race the
+// recorder must never be called from two goroutines.
+func TestShardedTraceMatchesSerial(t *testing.T) {
+	w, ok := diag.WorkloadByName("pathfinder")
+	if !ok {
+		t.Fatal("unknown workload pathfinder")
+	}
+	img, err := w.Build(diag.WorkloadParams{Scale: 1, Threads: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tgt := range []diag.Target{
+		diag.DiAG(diag.MultiRing(diag.F4C2(), 4, 2)),
+		diag.OoO(diag.BaselineMulticore(4)),
+	} {
+		run := func(shards int) string {
+			var buf bytes.Buffer
+			if _, err := tgt.Run(img, diag.WithTrace(&buf), diag.WithShards(shards)); err != nil {
+				t.Fatalf("%s shards=%d: %v", tgt.Name(), shards, err)
+			}
+			return buf.String()
+		}
+		serial, sharded := run(1), run(4)
+		if serial != sharded {
+			t.Errorf("%s: sharded trace differs from serial:\n--- serial\n%s\n--- sharded\n%s", tgt.Name(), serial, sharded)
+		}
+	}
+}
